@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use sickle_bench::require_finite;
-use sickle_store::batching::{num_batches, BatchSpec};
+use sickle_store::batching::{batch_keys, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{ShardStore, StoreConfig};
@@ -172,6 +172,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 fn bench_saturation(out: &sickle_core::pipeline::SamplingOutput, n: usize) -> Saturation {
     let root = temp_root("saturation");
     let store = ShardStore::ingest(&root, out, StoreConfig::default()).expect("ingest");
+    let keys = Arc::new(store.keys());
     let handle = serve(
         Arc::new(store),
         ServeConfig {
@@ -186,6 +187,7 @@ fn bench_saturation(out: &sickle_core::pipeline::SamplingOutput, n: usize) -> Sa
     let per_epoch = num_batches(n, BATCH_SIZE);
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
+            let keys = Arc::clone(&keys);
             std::thread::spawn(move || {
                 let spec = BatchSpec {
                     seed: c as u64,
@@ -198,8 +200,9 @@ fn bench_saturation(out: &sickle_core::pipeline::SamplingOutput, n: usize) -> Sa
                 for i in 0..per_epoch {
                     let mut client =
                         StoreClient::new(addr.to_string(), client_config((c * 1000 + i) as u64));
+                    let batch = batch_keys(&keys, spec, i).expect("batch within the epoch");
                     let t0 = Instant::now();
-                    if client.batch(spec, i).is_err() {
+                    if client.tensors(TOKENS, &batch, &[]).is_err() {
                         errors += 1;
                     }
                     latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);

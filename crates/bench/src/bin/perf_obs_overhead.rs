@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use sickle_cfd::{SpectralConfig, SpectralSolver};
 use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod};
-use sickle_store::batching::{num_batches, BatchSpec};
+use sickle_store::batching::{batch_keys, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{ShardStore, StoreConfig};
@@ -157,7 +157,7 @@ fn serve_workload() -> (
     // per-request fixed costs a toy fixture would exaggerate.
     let out = small_output(2, 8, 4096);
     let store = ShardStore::ingest(&root, &out, StoreConfig::default()).expect("ingest fixture");
-    let shards = store.manifest().len();
+    let keys = store.keys();
     let handle = serve(Arc::new(store), ServeConfig::default()).expect("bind loopback server");
     let addr = handle.addr();
     let mut client = StoreClient::new(
@@ -167,7 +167,7 @@ fn serve_workload() -> (
             ..ClientConfig::default()
         },
     );
-    let per_epoch = num_batches(shards, BATCH_SIZE);
+    let per_epoch = num_batches(keys.len(), BATCH_SIZE);
     let mut epoch = 0u64;
     let f = move || {
         let spec = BatchSpec {
@@ -177,13 +177,18 @@ fn serve_workload() -> (
         };
         epoch += 1;
         for i in 0..per_epoch {
-            std::hint::black_box(client.batch(spec, i).expect("loopback batch"));
+            let batch = batch_keys(&keys, spec, i).expect("batch in range");
+            std::hint::black_box(
+                client
+                    .tensors(spec.tokens, &batch, &[])
+                    .expect("loopback batch"),
+            );
         }
     };
-    // Per request: client.request + serve.request + serve.assemble_batch
-    // + serve.encode + serve.write = 5 spans (cache hits skip the
-    // disk-read/decode spans on the warm path).
-    (handle, root, f, 5.0 * per_epoch as f64)
+    // Per request: client.request + serve.request + serve.encode +
+    // serve.write = 4 spans (cache hits skip the disk-read/decode spans
+    // on the warm path).
+    (handle, root, f, 4.0 * per_epoch as f64)
 }
 
 fn main() -> ExitCode {

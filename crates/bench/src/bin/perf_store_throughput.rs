@@ -20,11 +20,12 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use sickle_bench::require_finite;
-use sickle_store::batching::{num_batches, BatchSpec};
-use sickle_store::client::{ClientConfig, StoreClient};
+use sickle_store::batching::num_batches;
+use sickle_store::client::ClientConfig;
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
+use sickle_train::RemoteDataset;
 
 const SNAPSHOTS: usize = 4;
 const CUBES: usize = 16;
@@ -105,8 +106,9 @@ fn bench_clients(addr: std::net::SocketAddr, n: usize, clients: usize) -> Client
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             std::thread::spawn(move || {
-                let mut client = StoreClient::new(
+                let mut remote = RemoteDataset::connect(
                     addr.to_string(),
+                    TOKENS,
                     ClientConfig {
                         retries: 3,
                         backoff: Duration::from_millis(20),
@@ -114,15 +116,12 @@ fn bench_clients(addr: std::net::SocketAddr, n: usize, clients: usize) -> Client
                         seed: c as u64,
                         ..ClientConfig::default()
                     },
-                );
+                )
+                .expect("connect loopback server");
                 for epoch in 0..EPOCHS_PER_CLIENT {
-                    let spec = BatchSpec {
-                        seed: (c * 100 + epoch) as u64,
-                        batch_size: BATCH_SIZE,
-                        tokens: TOKENS,
-                    };
+                    let seed = (c * 100 + epoch) as u64;
                     for i in 0..per_epoch {
-                        client.batch(spec, i).expect("loopback batch");
+                        remote.batch(seed, BATCH_SIZE, i).expect("loopback batch");
                     }
                 }
             })

@@ -23,14 +23,12 @@
 //! }
 //! ```
 
-mod bluestein;
 mod complex;
 mod nd;
 mod plan;
 mod real;
 mod realnd;
 
-pub use bluestein::AnyFft;
 pub use complex::Complex;
 pub use nd::{Fft2d, Fft3d};
 pub use plan::FftPlan;

@@ -11,7 +11,6 @@
 //! speaks in the types defined here, mirroring how the Python SICKLE passes
 //! NumPy arrays between `subsample.py` and `train.py`.
 
-pub mod decomp;
 pub mod derived;
 pub mod grid;
 pub mod io;
@@ -19,7 +18,6 @@ pub mod points;
 pub mod snapshot;
 pub mod stats;
 pub mod tiling;
-pub mod vtk;
 
 pub use grid::{Axis, Grid2, Grid3};
 pub use io::SampleSetView;

@@ -2,10 +2,14 @@
 //!
 //! ```text
 //! sickle-serve --root runs/store [--addr 127.0.0.1] [--port 7077]
-//!              [--threads 8] [--cache-mb 256] [--lookahead 1]
-//!              [--max-seconds N] [--allow-shutdown] [--fixture]
-//!              [--max-conns N] [--model-us-per-key US]
+//!              [--threads 8] [--cache-mb 256] [--max-seconds N]
+//!              [--allow-shutdown] [--fixture] [--max-conns N]
+//!              [--model-us-per-key US]
 //! ```
+//!
+//! Clients fetch batches with `GetTensors`, which names the keys wanted
+//! now and hints the keys of the next batch; the server warms the hinted
+//! shards in the background, so there is no lookahead to configure.
 //!
 //! `--max-seconds` bounds the serving window (for CI smoke runs); without
 //! it the server runs until the process is terminated. `--allow-shutdown`
@@ -37,7 +41,6 @@ struct Args {
     port: u16,
     threads: usize,
     cache_mb: usize,
-    lookahead: usize,
     max_seconds: Option<u64>,
     allow_shutdown: bool,
     fixture: bool,
@@ -52,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         port: 7077,
         threads: 8,
         cache_mb: 256,
-        lookahead: 1,
         max_seconds: None,
         allow_shutdown: false,
         fixture: false,
@@ -80,11 +82,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--cache-mb: {e}"))?;
             }
-            "--lookahead" => {
-                args.lookahead = value("--lookahead")?
-                    .parse()
-                    .map_err(|e| format!("--lookahead: {e}"))?;
-            }
             "--max-seconds" => {
                 args.max_seconds = Some(
                     value("--max-seconds")?
@@ -106,9 +103,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: sickle-serve --root DIR [--addr A] [--port P] \
-                            [--threads N] [--cache-mb MB] [--lookahead N] [--max-seconds S] \
+                            [--threads N] [--cache-mb MB] [--max-seconds S] \
                             [--allow-shutdown] [--fixture] [--max-conns N] \
-                            [--model-us-per-key US]"
+                            [--model-us-per-key US] (prefetch follows client hints)"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),
@@ -143,7 +140,6 @@ fn run(args: &Args) -> Result<(), String> {
         ServeConfig {
             addr: format!("{}:{}", args.addr, args.port),
             threads: args.threads,
-            lookahead: args.lookahead,
             fault_plan,
             allow_shutdown: args.allow_shutdown,
             max_conns: args.max_conns,

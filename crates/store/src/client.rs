@@ -6,7 +6,7 @@
 //! decorrelated-jitter backoff ([`Backoff`]), so a fleet of clients
 //! recovering from the same outage spreads its retries instead of
 //! re-forming a thundering herd. Retries are safe because every request is
-//! a pure read: refetching batch `i` returns the same bytes, so a retry
+//! a pure read: refetching the same keys returns the same bytes, so a retry
 //! can neither duplicate nor lose samples. An error *frame* from the
 //! server is a definitive answer (the request itself is wrong) and is
 //! returned immediately — with one exception: a
@@ -29,7 +29,6 @@ use std::time::Duration;
 use sickle_field::io::fnv1a64;
 
 use crate::backoff::Backoff;
-use crate::batching::{Batch, BatchSpec};
 use crate::manifest::{ShardKey, StoreManifest};
 use crate::protocol::{read_frame, write_frame, Request, Response, TensorBlock, WireErrorKind};
 use crate::stats::StatsSnapshot;
@@ -208,31 +207,25 @@ impl StoreClient {
         }
     }
 
-    /// Fetches batch `index` of the epoch described by `spec`.
-    ///
-    /// # Errors
-    /// `NotFound` past the last batch; transport errors.
-    pub fn batch(&mut self, spec: BatchSpec, index: usize) -> io::Result<Batch> {
-        match self.request(&Request::GetBatch {
-            spec,
-            index: index as u64,
-        })? {
-            Response::Batch(batch) => Ok(batch),
-            other => Err(unexpected(&other, "batch")),
-        }
-    }
-
-    /// Fetches tensorized rows for an explicit key list, in request order.
-    /// This is the cluster fan-out primitive: each server tensorizes only
-    /// the keys it owns, and the caller reassembles the epoch's batch from
-    /// the per-owner blocks.
+    /// Fetches tensorized rows for an explicit key list, in request order,
+    /// and hints the keys this client will ask the same server for next so
+    /// it can warm them in the background (`&[]` hints nothing). This is
+    /// the one batch primitive: each server tensorizes only the keys it
+    /// owns, and [`ClusterClient`](crate::ClusterClient) reassembles the
+    /// epoch's batch from the per-owner blocks.
     ///
     /// # Errors
     /// `NotFound` for an unknown key; transport errors.
-    pub fn tensors(&mut self, tokens: usize, keys: &[ShardKey]) -> io::Result<TensorBlock> {
+    pub fn tensors(
+        &mut self,
+        tokens: usize,
+        keys: &[ShardKey],
+        hints: &[ShardKey],
+    ) -> io::Result<TensorBlock> {
         match self.request(&Request::GetTensors {
             tokens: tokens as u32,
             keys: keys.to_vec(),
+            hints: hints.to_vec(),
         })? {
             Response::Tensors(block) => Ok(block),
             other => Err(unexpected(&other, "tensors")),
@@ -270,7 +263,6 @@ fn unexpected(resp: &Response, wanted: &str) -> io::Error {
     let got = match resp {
         Response::Manifest(_) => "manifest",
         Response::Shard(_) => "shard",
-        Response::Batch(_) => "batch",
         Response::Tensors(_) => "tensors",
         Response::Stats(_) => "stats",
         Response::Error { .. } => "error",

@@ -12,9 +12,14 @@
 //! - **Fan-out** — a batch request is split per owning member, each owner
 //!   tensorizes only its keys (`GetTensors`), and the client reassembles
 //!   the rows in batch-key order. The assembled batch is **bit-identical**
-//!   to what one server holding the whole store would return: both sides
+//!   to what an in-memory trainer builds from the same sets: both sides
 //!   run the same `epoch_order` / `tensorize_set` code on the same
-//!   canonical key order, and `f32`s cross the wire losslessly.
+//!   canonical key order, and `f32`s cross the wire losslessly. A single
+//!   server is simply a one-member cluster.
+//! - **Prefetch hints** — each member's request also carries the keys of
+//!   the *next* batch that member owns, so its prefetcher decodes them
+//!   while the client trains on this one. A member asked for nothing this
+//!   round gets no hints (and no extra round-trip).
 //! - **Failover** — a member whose transport dies (retries exhausted:
 //!   refused, reset, timed out, or a `die` fault took the process) is
 //!   marked down and its keys re-route to the next live replica on the
@@ -28,6 +33,11 @@
 //!   without any client restart, while a still-dead one costs at most one
 //!   probe per window — the jitter keeps a fleet of clients from probing
 //!   a corpse in lockstep.
+//! - **Sole owners** — when a key has only one owner (a one-member
+//!   cluster, or `replication` 1) there is nowhere to fail over to, so
+//!   the owner is never marked down: its transport error goes back to the
+//!   caller with its kind intact, and the next call contacts it again,
+//!   exactly as a plain [`StoreClient`] would.
 //!
 //! Definitive server answers (`NotFound`, `InvalidData`) are *not*
 //! failover triggers: they mean the request or the data is wrong, and a
@@ -143,6 +153,9 @@ pub fn partition_output(
 struct DownState {
     until: Instant,
     backoff: Backoff,
+    /// Kind of the transport error that marked the member down, so a
+    /// later "all replicas down" error still says why.
+    cause: io::ErrorKind,
 }
 
 /// A cluster of store servers behind one batch-fetching facade.
@@ -292,28 +305,33 @@ impl ClusterClient {
         num_batches(self.keys.len(), batch_size)
     }
 
-    /// Fetches batch `index` of the epoch described by `spec`, fanning out
+    /// Fetches batch `index` of the epoch described by `epoch`, fanning out
     /// per owning member and failing over to replicas as members die.
     ///
     /// # Errors
-    /// `NotFound` past the last batch; `Other` once every replica of some
-    /// key is down; definitive server errors as-is.
-    pub fn batch(&mut self, spec: BatchSpec, index: usize) -> io::Result<Batch> {
+    /// `NotFound` past the last batch; definitive server errors as-is; a
+    /// sole owner's transport error with its kind kept; once every replica
+    /// of some key is down, an error of the kind of the last transport
+    /// failure behind it.
+    pub fn batch(&mut self, epoch: BatchSpec, index: usize) -> io::Result<Batch> {
         let _span = sickle_obs::span!("cluster.batch", index = index);
-        let keys = batch_keys(&self.keys, spec, index).ok_or_else(|| {
+        // Past the last batch there is nothing to hint.
+        let next = batch_keys(&self.keys, epoch, index + 1).unwrap_or_default();
+        let keys = batch_keys(&self.keys, epoch, index).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
                 format!(
                     "batch {index} out of range ({} batches per epoch)",
-                    self.num_batches(spec.batch_size)
+                    self.num_batches(epoch.batch_size)
                 ),
             )
         })?;
-        let tokens = spec.tokens;
+        let tokens = epoch.tokens;
         let features = self.features();
         let mut inputs = vec![0.0f32; keys.len() * tokens * features];
         let mut targets = vec![0.0f32; keys.len() * features];
         let mut pending: Vec<usize> = (0..keys.len()).collect();
+        let mut last_failure: Option<io::Error> = None;
         while !pending.is_empty() {
             // Route every pending position to the first *live* owner of
             // its key. Grouping by member keeps the fan-out to one RPC per
@@ -321,14 +339,30 @@ impl ClusterClient {
             let mut per_member: Vec<Vec<usize>> = vec![Vec::new(); self.clients.len()];
             for &pos in &pending {
                 let owner = self.first_live_owner(keys[pos]).ok_or_else(|| {
-                    io::Error::other(format!(
-                        "all {} replicas of snapshot {} cube {} are down",
-                        self.replication, keys[pos].snapshot, keys[pos].cube
-                    ))
+                    let (kind, cause) = match &last_failure {
+                        Some(e) => (e.kind(), format!(" (last failure: {e})")),
+                        None => (self.down_cause(keys[pos]), String::new()),
+                    };
+                    io::Error::new(
+                        kind,
+                        format!(
+                            "all {} replicas of snapshot {} cube {} are down{cause}",
+                            self.replication, keys[pos].snapshot, keys[pos].cube
+                        ),
+                    )
                 })?;
                 per_member[owner].push(pos);
             }
             pending.clear();
+            // Hints ride only on requests this round sends anyway.
+            let mut hints: Vec<Vec<ShardKey>> = vec![Vec::new(); self.clients.len()];
+            for &key in &next {
+                if let Some(owner) = self.first_live_owner(key) {
+                    if !per_member[owner].is_empty() {
+                        hints[owner].push(key);
+                    }
+                }
+            }
             self.rotation = self.rotation.wrapping_add(1);
             let start = self.rotation % self.clients.len();
             for step in 0..per_member.len() {
@@ -338,7 +372,7 @@ impl ClusterClient {
                     continue;
                 }
                 let member_keys: Vec<ShardKey> = positions.iter().map(|&p| keys[p]).collect();
-                match self.clients[member].tensors(tokens, &member_keys) {
+                match self.clients[member].tensors(tokens, &member_keys, &hints[member]) {
                     Ok(block) => {
                         if self.down[member].take().is_some() {
                             // A marked member answered its re-probe: it is
@@ -369,6 +403,12 @@ impl ClusterClient {
                         }
                     }
                     Err(e) if is_definitive(&e) => return Err(e),
+                    Err(e) if self.replication.min(self.clients.len()) == 1 => {
+                        // A sole owner has no replica to fail over to:
+                        // leave it unmarked so the next call re-probes it.
+                        let name = &self.ring.members()[member];
+                        return Err(io::Error::new(e.kind(), format!("member {name}: {e}")));
+                    }
                     Err(e) => {
                         // Transport exhausted: the member is gone. Mark it
                         // down for a jittered re-probe window and re-route
@@ -381,8 +421,9 @@ impl ClusterClient {
                             "member {name} down ({e}); failing over {} keys",
                             positions.len()
                         );
-                        self.mark_down(member);
+                        self.mark_down(member, e.kind());
                         pending.extend(positions);
+                        last_failure = Some(e);
                     }
                 }
             }
@@ -442,9 +483,21 @@ impl ClusterClient {
             .is_some_and(|state| now < state.until)
     }
 
+    /// Kind of the transport failure that marked `key`'s first down owner
+    /// down; `Other` when none is recorded.
+    fn down_cause(&self, key: ShardKey) -> io::ErrorKind {
+        let members = self.ring.members();
+        self.ring
+            .owners(key, self.replication)
+            .into_iter()
+            .filter_map(|name| members.iter().position(|m| m == name))
+            .find_map(|idx| self.down[idx].as_ref())
+            .map_or(io::ErrorKind::Other, |state| state.cause)
+    }
+
     /// Marks `member` down for the next backoff window (growing the
     /// window if it was already marked).
-    fn mark_down(&mut self, member: usize) {
+    fn mark_down(&mut self, member: usize, cause: io::ErrorKind) {
         let mut state = self.down[member].take().unwrap_or_else(|| DownState {
             until: Instant::now(),
             backoff: Backoff::new(
@@ -452,7 +505,9 @@ impl ClusterClient {
                 self.reprobe_base,
                 self.reprobe_cap,
             ),
+            cause,
         });
+        state.cause = cause;
         state.until = Instant::now() + state.backoff.next_delay();
         self.down[member] = Some(state);
     }

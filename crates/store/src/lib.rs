@@ -9,7 +9,8 @@
 //! - [`store`] / [`manifest`] / [`cache`] / [`prefetch`] — the storage
 //!   layer: per-`(snapshot, cube)` SKLH shards behind a `manifest.json`
 //!   whose shard names are their own FNV-1a hashes, read back through a
-//!   byte-budgeted LRU cache warmed by a lookahead prefetcher.
+//!   byte-budgeted LRU cache that a prefetcher warms with the keys
+//!   clients hint they will ask for next.
 //! - [`protocol`] / [`server`] — the serving layer: a length-prefixed
 //!   binary protocol over plain `std::net` TCP, request-granular worker
 //!   scheduling with explicit `Busy` overload shedding, and fault-plan

@@ -8,13 +8,15 @@
 //! +--------+----------------+------------------+
 //! ```
 //!
-//! Request tags: `0x01` Manifest, `0x02` GetShard, `0x03` GetBatch,
-//! `0x04` Stats, `0x05` Shutdown, `0x06` GetTensors (explicit key list,
-//! the cluster client's per-owner slice of a batch).
+//! Request tags: `0x01` Manifest, `0x02` GetShard, `0x04` Stats,
+//! `0x05` Shutdown, `0x06` GetTensors (an explicit key list — one owner's
+//! slice of a batch — plus a hint list of keys the same client will ask
+//! for next, which the server hands to its prefetcher).
 //! Response tags: `0x81` Manifest (JSON), `0x82` Shard (raw SKLH bytes),
-//! `0x83` Batch (f32 tensors), `0x84` Stats (JSON), `0x85` Tensors
-//! (per-key f32 tensors, in request-key order),
-//! `0xEE` Error (kind byte + UTF-8 message).
+//! `0x84` Stats (JSON), `0x85` Tensors (per-key f32 tensors, in
+//! request-key order), `0xEE` Error (kind byte + UTF-8 message).
+//! Tags `0x03`/`0x83` stay unassigned, so a batch request from a client
+//! built before `GetTensors` carried hints fails as an unknown tag.
 //!
 //! An overloaded server answers (or greets, at accept time) with an error
 //! frame of kind [`WireErrorKind::Busy`] instead of silently dropping the
@@ -43,7 +45,6 @@ use std::io::{self, Read, Write};
 use bytes::{Buf, BufMut};
 use sickle_obs::TraceContext;
 
-use crate::batching::{Batch, BatchShape, BatchSpec};
 use crate::manifest::ShardKey;
 
 /// Hard ceiling on one frame's payload (256 MiB).
@@ -53,21 +54,18 @@ pub const MAX_FRAME: usize = 1 << 28;
 pub const TAG_REQ_MANIFEST: u8 = 0x01;
 /// Request tag: fetch one raw shard.
 pub const TAG_REQ_SHARD: u8 = 0x02;
-/// Request tag: fetch one assembled batch.
-pub const TAG_REQ_BATCH: u8 = 0x03;
 /// Request tag: fetch a live metrics snapshot.
 pub const TAG_REQ_STATS: u8 = 0x04;
 /// Request tag: ask the server to stop (honored only when
 /// `ServeConfig::allow_shutdown` is set).
 pub const TAG_REQ_SHUTDOWN: u8 = 0x05;
-/// Request tag: tensorize an explicit list of shard keys.
+/// Request tag: tensorize an explicit list of shard keys, hinting the
+/// next ones.
 pub const TAG_REQ_TENSORS: u8 = 0x06;
 /// Response tag: manifest JSON.
 pub const TAG_RESP_MANIFEST: u8 = 0x81;
 /// Response tag: raw shard bytes.
 pub const TAG_RESP_SHARD: u8 = 0x82;
-/// Response tag: assembled batch tensors.
-pub const TAG_RESP_BATCH: u8 = 0x83;
 /// Response tag: stats snapshot JSON.
 pub const TAG_RESP_STATS: u8 = 0x84;
 /// Response tag: per-key tensors, in request-key order.
@@ -75,8 +73,9 @@ pub const TAG_RESP_TENSORS: u8 = 0x85;
 /// Response tag: error.
 pub const TAG_RESP_ERROR: u8 = 0xEE;
 
-/// Ceiling on keys per `GetTensors` request — far above any sane batch
-/// size, low enough that a hostile count cannot size an allocation.
+/// Ceiling on keys, and separately on hint keys, per `GetTensors`
+/// request — far above any sane batch size, low enough that a hostile
+/// count cannot size an allocation.
 pub const MAX_TENSOR_KEYS: usize = 65_536;
 
 /// First byte of the optional trace-context trailer. Deliberately not a
@@ -104,13 +103,6 @@ pub enum Request {
     Manifest,
     /// One raw shard by key.
     GetShard(ShardKey),
-    /// Batch `index` of the epoch described by `spec`.
-    GetBatch {
-        /// Epoch seed / batch size / tokens per sample.
-        spec: BatchSpec,
-        /// Zero-based batch index within the epoch.
-        index: u64,
-    },
     /// Tensorize these shards, in order — the cluster client's per-owner
     /// slice of a batch (it computes the epoch order itself and asks each
     /// owner only for the keys that owner holds).
@@ -119,6 +111,10 @@ pub enum Request {
         tokens: u32,
         /// The shards to tensorize, in the order they should come back.
         keys: Vec<ShardKey>,
+        /// Shards this client will ask this server for next (the next
+        /// batch's keys it owns). The server warms the uncached ones in
+        /// the background after fetching `keys`; they are never answered.
+        hints: Vec<ShardKey>,
     },
     /// A live metrics snapshot (JSON [`crate::stats::StatsSnapshot`]).
     Stats,
@@ -145,22 +141,16 @@ impl Request {
                 p.put_u64_le(key.cube as u64);
                 (TAG_REQ_SHARD, p)
             }
-            Request::GetBatch { spec, index } => {
-                let mut p = Vec::with_capacity(24 + TRACE_TRAILER_LEN);
-                p.put_u64_le(spec.seed);
-                p.put_u32_le(spec.batch_size as u32);
-                p.put_u32_le(spec.tokens as u32);
-                p.put_u64_le(*index);
-                (TAG_REQ_BATCH, p)
-            }
-            Request::GetTensors { tokens, keys } => {
-                let mut p = Vec::with_capacity(8 + keys.len() * 16 + TRACE_TRAILER_LEN);
+            Request::GetTensors {
+                tokens,
+                keys,
+                hints,
+            } => {
+                let mut p =
+                    Vec::with_capacity(12 + (keys.len() + hints.len()) * 16 + TRACE_TRAILER_LEN);
                 p.put_u32_le(*tokens);
-                p.put_u32_le(keys.len() as u32);
-                for key in keys {
-                    p.put_u64_le(key.snapshot as u64);
-                    p.put_u64_le(key.cube as u64);
-                }
+                put_keys(&mut p, keys);
+                put_keys(&mut p, hints);
                 (TAG_REQ_TENSORS, p)
             }
             Request::Stats => (TAG_REQ_STATS, Vec::new()),
@@ -204,43 +194,16 @@ impl Request {
                     .map_err(|_| invalid("GetShard cube overflows usize"))?;
                 Request::GetShard(ShardKey { snapshot, cube })
             }
-            TAG_REQ_BATCH => {
-                need(payload, 24, "GetBatch request")?;
-                let seed = payload.get_u64_le();
-                let batch_size = payload.get_u32_le() as usize;
-                let tokens = payload.get_u32_le() as usize;
-                let index = payload.get_u64_le();
-                Request::GetBatch {
-                    spec: BatchSpec {
-                        seed,
-                        batch_size,
-                        tokens,
-                    },
-                    index,
-                }
-            }
             TAG_REQ_TENSORS => {
-                need(payload, 8, "GetTensors request")?;
+                need(payload, 4, "GetTensors request")?;
                 let tokens = payload.get_u32_le();
-                let count = payload.get_u32_le() as usize;
-                if count > MAX_TENSOR_KEYS {
-                    return Err(invalid(format!(
-                        "GetTensors asks for {count} keys, cap is {MAX_TENSOR_KEYS}"
-                    )));
+                let keys = get_keys(&mut payload, "keys")?;
+                let hints = get_keys(&mut payload, "hints")?;
+                Request::GetTensors {
+                    tokens,
+                    keys,
+                    hints,
                 }
-                let key_bytes = count
-                    .checked_mul(16)
-                    .ok_or_else(|| invalid("GetTensors key count overflows"))?;
-                need(payload, key_bytes, "GetTensors keys")?;
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let snapshot = usize::try_from(payload.get_u64_le())
-                        .map_err(|_| invalid("GetTensors snapshot overflows usize"))?;
-                    let cube = usize::try_from(payload.get_u64_le())
-                        .map_err(|_| invalid("GetTensors cube overflows usize"))?;
-                    keys.push(ShardKey { snapshot, cube });
-                }
-                Request::GetTensors { tokens, keys }
             }
             TAG_REQ_STATS => Request::Stats,
             TAG_REQ_SHUTDOWN => Request::Shutdown,
@@ -257,13 +220,50 @@ impl Request {
     }
 }
 
+fn put_keys(p: &mut Vec<u8>, keys: &[ShardKey]) {
+    p.put_u32_le(keys.len() as u32);
+    for key in keys {
+        p.put_u64_le(key.snapshot as u64);
+        p.put_u64_le(key.cube as u64);
+    }
+}
+
+/// Parses one `u32 count` + `count × (u64 snapshot, u64 cube)` key list
+/// of a `GetTensors` payload, capped at [`MAX_TENSOR_KEYS`].
+fn get_keys(payload: &mut &[u8], what: &str) -> io::Result<Vec<ShardKey>> {
+    if payload.remaining() < 4 {
+        return Err(invalid(format!("truncated GetTensors {what} count")));
+    }
+    let count = payload.get_u32_le() as usize;
+    if count > MAX_TENSOR_KEYS {
+        return Err(invalid(format!(
+            "GetTensors carries {count} {what}, cap is {MAX_TENSOR_KEYS}"
+        )));
+    }
+    let key_bytes = count
+        .checked_mul(16)
+        .ok_or_else(|| invalid(format!("GetTensors {what} count overflows")))?;
+    if payload.remaining() < key_bytes {
+        return Err(invalid(format!("truncated GetTensors {what}")));
+    }
+    let mut keys = Vec::with_capacity(count);
+    for _ in 0..count {
+        let snapshot = usize::try_from(payload.get_u64_le())
+            .map_err(|_| invalid(format!("GetTensors {what} snapshot overflows usize")))?;
+        let cube = usize::try_from(payload.get_u64_le())
+            .map_err(|_| invalid(format!("GetTensors {what} cube overflows usize")))?;
+        keys.push(ShardKey { snapshot, cube });
+    }
+    Ok(keys)
+}
+
 /// Wire error kinds, a coarse projection of [`io::ErrorKind`] that
 /// round-trips the retry-relevant distinctions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireErrorKind {
     /// Anything without a dedicated code.
     Other = 0,
-    /// The requested shard or batch does not exist.
+    /// The requested shard does not exist.
     NotFound = 1,
     /// The request (or stored data) was malformed.
     InvalidData = 2,
@@ -327,8 +327,6 @@ pub enum Response {
     Manifest(Vec<u8>),
     /// Raw SKLH shard bytes (hash-verified server-side).
     Shard(Vec<u8>),
-    /// One assembled batch.
-    Batch(Batch),
     /// Per-key tensors, in request-key order.
     Tensors(TensorBlock),
     /// Stats snapshot JSON bytes ([`crate::stats::StatsSnapshot`]).
@@ -361,20 +359,6 @@ impl Response {
             Response::Shard(bytes) => {
                 crate::shard_bytes::copytrace::note_copy(bytes.len());
                 (TAG_RESP_SHARD, bytes.clone())
-            }
-            Response::Batch(batch) => {
-                let mut p = Vec::with_capacity(16 + (batch.inputs.len() + batch.targets.len()) * 4);
-                p.put_u32_le(batch.shape.batch as u32);
-                p.put_u32_le(batch.shape.tokens as u32);
-                p.put_u32_le(batch.shape.features as u32);
-                p.put_u32_le(batch.shape.outputs as u32);
-                for &v in &batch.inputs {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                for &v in &batch.targets {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                (TAG_RESP_BATCH, p)
             }
             Response::Tensors(block) => {
                 let mut p = Vec::with_capacity(12 + (block.inputs.len() + block.targets.len()) * 4);
@@ -415,17 +399,6 @@ impl Response {
             out
         }
         match self {
-            Response::Batch(batch) => {
-                let mut header = Vec::with_capacity(16);
-                header.put_u32_le(batch.shape.batch as u32);
-                header.put_u32_le(batch.shape.tokens as u32);
-                header.put_u32_le(batch.shape.features as u32);
-                header.put_u32_le(batch.shape.outputs as u32);
-                (
-                    TAG_RESP_BATCH,
-                    vec![header, f32_bytes(&batch.inputs), f32_bytes(&batch.targets)],
-                )
-            }
             Response::Tensors(block) => {
                 let mut header = Vec::with_capacity(12);
                 header.put_u32_le(block.count as u32);
@@ -452,7 +425,6 @@ impl Response {
         match tag {
             TAG_RESP_MANIFEST => Ok(Response::Manifest(payload.to_vec())),
             TAG_RESP_SHARD => Ok(Response::Shard(payload.to_vec())),
-            TAG_RESP_BATCH => decode_batch(payload),
             TAG_RESP_TENSORS => decode_tensors(payload),
             TAG_RESP_STATS => Ok(Response::Stats(payload.to_vec())),
             TAG_RESP_ERROR => {
@@ -477,44 +449,6 @@ fn get_f32s(buf: &mut &[u8], count: usize) -> Vec<f32> {
         out.push(f32::from_le_bytes(raw));
     }
     out
-}
-
-fn decode_batch(mut payload: &[u8]) -> io::Result<Response> {
-    need(payload, 16, "batch header")?;
-    let batch = payload.get_u32_le() as usize;
-    let tokens = payload.get_u32_le() as usize;
-    let features = payload.get_u32_le() as usize;
-    let outputs = payload.get_u32_le() as usize;
-    let n_inputs = batch
-        .checked_mul(tokens)
-        .and_then(|v| v.checked_mul(features))
-        .ok_or_else(|| invalid("batch input count overflows"))?;
-    let n_targets = batch
-        .checked_mul(outputs)
-        .ok_or_else(|| invalid("batch target count overflows"))?;
-    let total_bytes = n_inputs
-        .checked_add(n_targets)
-        .and_then(|v| v.checked_mul(4))
-        .ok_or_else(|| invalid("batch payload size overflows"))?;
-    if payload.remaining() != total_bytes {
-        return Err(invalid(format!(
-            "batch payload holds {} bytes, shape requires {}",
-            payload.remaining(),
-            total_bytes
-        )));
-    }
-    let inputs = get_f32s(&mut payload, n_inputs);
-    let targets = get_f32s(&mut payload, n_targets);
-    Ok(Response::Batch(Batch {
-        inputs,
-        targets,
-        shape: BatchShape {
-            batch,
-            tokens,
-            features,
-            outputs,
-        },
-    }))
 }
 
 fn decode_tensors(mut payload: &[u8]) -> io::Result<Response> {
@@ -605,30 +539,33 @@ mod tests {
             snapshot: 3,
             cube: 250,
         }));
-        roundtrip_request(Request::GetBatch {
-            spec: BatchSpec {
-                seed: 0xDEAD_BEEF,
-                batch_size: 32,
-                tokens: 64,
+        let keys = vec![
+            ShardKey {
+                snapshot: 0,
+                cube: 5,
             },
-            index: 7,
-        });
+            ShardKey {
+                snapshot: 2,
+                cube: 0,
+            },
+        ];
+        // Empty hint list (the last batch of an epoch, or an unhinted
+        // caller).
         roundtrip_request(Request::GetTensors {
             tokens: 16,
-            keys: vec![
-                ShardKey {
-                    snapshot: 0,
-                    cube: 5,
-                },
-                ShardKey {
-                    snapshot: 2,
-                    cube: 0,
-                },
-            ],
+            keys: keys.clone(),
+            hints: Vec::new(),
+        });
+        // Hints equal to the keys.
+        roundtrip_request(Request::GetTensors {
+            tokens: 16,
+            keys: keys.clone(),
+            hints: keys,
         });
         roundtrip_request(Request::GetTensors {
             tokens: 1,
             keys: Vec::new(),
+            hints: Vec::new(),
         });
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Shutdown);
@@ -646,19 +583,15 @@ mod tests {
                 snapshot: 1,
                 cube: 2,
             }),
-            Request::GetBatch {
-                spec: BatchSpec {
-                    seed: 9,
-                    batch_size: 4,
-                    tokens: 8,
-                },
-                index: 0,
-            },
             Request::GetTensors {
                 tokens: 4,
                 keys: vec![ShardKey {
                     snapshot: 1,
                     cube: 3,
+                }],
+                hints: vec![ShardKey {
+                    snapshot: 0,
+                    cube: 9,
                 }],
             },
             Request::Stats,
@@ -711,20 +644,9 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        let batch = Batch {
-            inputs: vec![1.5, -2.25, f32::MIN_POSITIVE, 0.1],
-            targets: vec![0.5, -0.5],
-            shape: BatchShape {
-                batch: 2,
-                tokens: 1,
-                features: 2,
-                outputs: 1,
-            },
-        };
         for resp in [
             Response::Manifest(b"{\"version\":1}".to_vec()),
             Response::Shard(vec![1, 2, 3, 4]),
-            Response::Batch(batch),
             Response::Tensors(TensorBlock {
                 count: 2,
                 tokens: 1,
@@ -752,16 +674,6 @@ mod tests {
         for resp in [
             Response::Manifest(b"{\"version\":1}".to_vec()),
             Response::Shard(vec![5; 97]),
-            Response::Batch(Batch {
-                inputs: vec![1.5, -2.25, 0.0, f32::EPSILON],
-                targets: vec![0.5, -0.5],
-                shape: BatchShape {
-                    batch: 2,
-                    tokens: 1,
-                    features: 2,
-                    outputs: 1,
-                },
-            }),
             Response::Tensors(TensorBlock {
                 count: 1,
                 tokens: 2,
@@ -784,26 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_floats_are_bit_exact_across_the_wire() {
+    fn tensor_floats_are_bit_exact_across_the_wire() {
         let inputs = vec![0.1f32, 1.0 / 3.0, f32::EPSILON, -0.0];
-        let batch = Batch {
+        let block = TensorBlock {
+            count: 1,
+            tokens: 2,
+            features: 2,
             inputs: inputs.clone(),
-            targets: vec![2.0 / 7.0],
-            shape: BatchShape {
-                batch: 1,
-                tokens: 2,
-                features: 2,
-                outputs: 1,
-            },
+            targets: vec![2.0 / 7.0, f32::MIN_POSITIVE],
         };
-        let (tag, payload) = Response::Batch(batch).encode();
+        let (tag, payload) = Response::Tensors(block).encode();
         match Response::decode(tag, &payload).unwrap() {
-            Response::Batch(b) => {
+            Response::Tensors(b) => {
                 for (a, b) in inputs.iter().zip(&b.inputs) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
-            other => panic!("expected batch, got {other:?}"),
+            other => panic!("expected tensors, got {other:?}"),
         }
     }
 
@@ -826,25 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn hostile_batch_header_is_error_not_abort() {
-        // Counts claiming far more data than present must fail cleanly.
-        let mut p = Vec::new();
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        assert!(decode_batch(&p).is_err());
-        // Shape/payload disagreement is rejected, not padded.
-        let mut q = Vec::new();
-        q.put_u32_le(1);
-        q.put_u32_le(1);
-        q.put_u32_le(2);
-        q.put_u32_le(1);
-        q.put_slice(&[0u8; 4]); // needs 12 bytes, has 4
-        assert!(decode_batch(&q).is_err());
-    }
-
-    #[test]
     fn malformed_requests_are_rejected() {
         assert!(Request::decode(0x55, &[]).is_err());
         assert!(Request::decode(TAG_REQ_SHARD, &[0u8; 15]).is_err());
@@ -852,7 +742,18 @@ mod tests {
             Request::decode(TAG_REQ_SHARD, &[0u8; 17]).is_err(),
             "trailing bytes"
         );
-        assert!(Request::decode(TAG_REQ_BATCH, &[0u8; 8]).is_err());
+    }
+
+    #[test]
+    fn retired_batch_tags_are_unknown() {
+        // 0x03 was the server-assembled batch request; it is an unknown
+        // tag now, whatever its payload.
+        for payload in [&[][..], &[0u8; 8][..], &[0u8; 24][..]] {
+            let err = Request::decode(0x03, payload).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let err = Response::decode(0x83, &[0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -867,6 +768,18 @@ mod tests {
         q.put_u32_le(8);
         q.put_u32_le(MAX_TENSOR_KEYS as u32 + 1);
         assert!(Request::decode(TAG_REQ_TENSORS, &q).is_err());
+        // The hint list gets the same checks: missing count, over the
+        // cap, and fewer keys than claimed.
+        let mut h = Vec::new();
+        h.put_u32_le(8);
+        h.put_u32_le(0);
+        assert!(Request::decode(TAG_REQ_TENSORS, &h).is_err());
+        let mut over = h.clone();
+        over.put_u32_le(MAX_TENSOR_KEYS as u32 + 1);
+        assert!(Request::decode(TAG_REQ_TENSORS, &over).is_err());
+        h.put_u32_le(2);
+        h.put_slice(&[0u8; 16]);
+        assert!(Request::decode(TAG_REQ_TENSORS, &h).is_err());
         // Response whose counts disagree with the payload.
         let mut r = Vec::new();
         r.put_u32_le(u32::MAX);

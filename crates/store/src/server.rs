@@ -1,4 +1,4 @@
-//! Multi-client batch server over plain `std::net` TCP.
+//! Multi-client shard and tensor server over plain `std::net` TCP.
 //!
 //! The server is deliberately std-only, and schedules at **request**
 //! granularity: a nonblocking accept loop admits connections (or sheds
@@ -28,7 +28,7 @@
 //! cluster failover. Poison entries are ignored — the data plane has no
 //! in-place result to corrupt.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use sickle_hpc::fault::{FaultAction, FaultInjector, FaultPlan};
 use sickle_obs::TraceContext;
 
-use crate::batching::{batch_from_sets, batch_keys, num_batches, tensorize_set, BatchSpec};
+use crate::batching::tensorize_set;
 use crate::manifest::ShardKey;
 use crate::prefetch::Prefetcher;
 use crate::protocol::{
@@ -63,9 +63,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Multiplier on `read_timeout` for the idle window.
     pub idle_timeouts: u32,
-    /// How many upcoming batches to hint to the prefetcher after serving a
-    /// `GetBatch` (0 disables lookahead).
-    pub lookahead: usize,
     /// Optional fault plan (`drop@conn:request`, `die@conn:request`, ...)
     /// for resilience tests.
     pub fault_plan: Option<FaultPlan>,
@@ -100,7 +97,6 @@ impl Default for ServeConfig {
             threads: 8,
             read_timeout: Duration::from_millis(250),
             idle_timeouts: 40,
-            lookahead: 1,
             fault_plan: None,
             allow_shutdown: false,
             max_conns: 1024,
@@ -127,7 +123,6 @@ const FRAME_HEADER: usize = 5;
 
 struct Shared {
     store: Arc<ShardStore>,
-    keys: Vec<ShardKey>,
     injector: FaultInjector,
     prefetcher: Prefetcher,
     cfg: ServeConfig,
@@ -304,7 +299,6 @@ pub fn serve(store: Arc<ShardStore>, cfg: ServeConfig) -> io::Result<ServerHandl
     let stop = Arc::new(AtomicBool::new(false));
     let plan = cfg.fault_plan.clone().unwrap_or_else(FaultPlan::none);
     let shared = Arc::new(Shared {
-        keys: store.keys(),
         prefetcher: Prefetcher::new(Arc::clone(&store)),
         injector: FaultInjector::new(plan),
         store,
@@ -820,32 +814,11 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                 )))
             }
         }
-        Request::GetBatch { spec, index } => {
-            let index = usize::try_from(index).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "batch index overflows usize")
-            })?;
-            let keys = batch_keys(&shared.keys, spec, index).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!(
-                        "batch {index} out of range ({} batches per epoch)",
-                        num_batches(shared.keys.len(), spec.batch_size)
-                    ),
-                )
-            })?;
-            let sets = keys
-                .iter()
-                .map(|&k| shared.store.get(k))
-                .collect::<io::Result<Vec<_>>>()?;
-            hint_lookahead(shared, spec, index);
-            model_service(shared, keys.len());
-            let _s = sickle_obs::span!("serve.assemble_batch");
-            Ok(Reply::Message(Response::Batch(batch_from_sets(
-                &sets,
-                spec.tokens,
-            )?)))
-        }
-        Request::GetTensors { tokens, keys } => {
+        Request::GetTensors {
+            tokens,
+            keys,
+            hints,
+        } => {
             let tokens = tokens as usize;
             let mut features = 0usize;
             let mut inputs = Vec::with_capacity(keys.len() * tokens);
@@ -873,6 +846,10 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                 inputs.extend(i);
                 targets.extend(t);
             }
+            // The request's own shards are resident now: warm what the
+            // client says comes next while this response is written and
+            // the client computes on it.
+            hint_cold(shared, &hints);
             model_service(shared, keys.len());
             Ok(Reply::Message(Response::Tensors(TensorBlock {
                 count: keys.len(),
@@ -905,15 +882,21 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
     }
 }
 
-/// Warms the cache for the batches this stream will likely ask for next.
-fn hint_lookahead(shared: &Shared, spec: BatchSpec, index: usize) {
-    for ahead in 1..=shared.cfg.lookahead {
-        if let Some(next) = batch_keys(&shared.keys, spec, index + ahead) {
-            let cold: Vec<ShardKey> = next
-                .into_iter()
-                .filter(|&k| !shared.store.is_cached(k))
-                .collect();
-            shared.prefetcher.hint(&cold);
-        }
-    }
+/// Hands the hinted keys that are not already resident to the
+/// prefetcher. The client hints exactly one batch ahead, so the lookahead
+/// depth is 1 by construction. Hints come off the wire, so keys this
+/// store does not hold and repeats are dropped here, and the prefetcher's
+/// queue bounds whatever is left.
+fn hint_cold(shared: &Shared, hints: &[ShardKey]) {
+    let mut seen = HashSet::new();
+    let cold: Vec<ShardKey> = hints
+        .iter()
+        .copied()
+        .filter(|&k| {
+            shared.store.manifest().entry(k).is_some()
+                && !shared.store.is_cached(k)
+                && seen.insert(k)
+        })
+        .collect();
+    shared.prefetcher.hint(&cold);
 }

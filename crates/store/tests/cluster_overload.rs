@@ -13,12 +13,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sickle_store::batching::{local_batch, num_batches, BatchSpec};
+use sickle_store::batching::{batch_keys, local_batch, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
-use sickle_store::Batch;
+use sickle_store::{Batch, BatchShape, ShardKey};
 
 const MAX_CONNS: usize = 2;
 const THREADS: usize = 6;
@@ -41,6 +41,27 @@ fn overload_client(addr: std::net::SocketAddr, seed: u64) -> StoreClient {
             timeout: Duration::from_secs(5),
         },
     )
+}
+
+/// Batch `index` of `spec`, fetched as one `GetTensors` over its keys.
+fn fetch_batch(
+    client: &mut StoreClient,
+    keys: &[ShardKey],
+    spec: BatchSpec,
+    index: usize,
+) -> std::io::Result<Batch> {
+    let batch = batch_keys(keys, spec, index).expect("index within the epoch");
+    let block = client.tensors(spec.tokens, &batch, &[])?;
+    Ok(Batch {
+        inputs: block.inputs,
+        targets: block.targets,
+        shape: BatchShape {
+            batch: block.count,
+            tokens: block.tokens,
+            features: block.features,
+            outputs: block.features,
+        },
+    })
 }
 
 fn assert_bit_identical(a: &Batch, b: &Batch, what: &str) {
@@ -67,6 +88,7 @@ fn saturated_server_sheds_with_busy_frames_and_clients_recover_everything() {
         .collect();
     keyed.sort_by_key(|(k, _)| *k);
     let sets: Vec<_> = keyed.into_iter().map(|(_, s)| s).collect();
+    let keys = Arc::new(store.keys());
     let handle = serve(
         Arc::new(store),
         ServeConfig {
@@ -121,12 +143,12 @@ fn saturated_server_sheds_with_busy_frames_and_clients_recover_everything() {
     let threads: Vec<_> = (0..THREADS)
         .map(|t| {
             let reference = Arc::clone(&reference);
+            let keys = Arc::clone(&keys);
             std::thread::spawn(move || {
                 let mut busy = 0u64;
                 for i in 0..batches {
                     let mut client = overload_client(addr, (10 + t * batches + i) as u64);
-                    let got = client
-                        .batch(spec, i)
+                    let got = fetch_batch(&mut client, &keys, spec, i)
                         .unwrap_or_else(|e| panic!("thread {t} batch {i}: {e}"));
                     assert_bit_identical(&got, &reference[i], &format!("thread {t} batch {i}"));
                     busy += client.busy_retries();

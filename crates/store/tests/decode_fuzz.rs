@@ -7,20 +7,28 @@
 use proptest::prelude::*;
 
 use sickle_obs::TraceContext;
-use sickle_store::batching::BatchSpec;
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
-use sickle_store::protocol::{Request, Response, TensorBlock, TRACE_TRAILER_LEN};
+use sickle_store::protocol::{
+    Request, Response, TensorBlock, MAX_TENSOR_KEYS, TAG_REQ_TENSORS, TRACE_TRAILER_LEN,
+};
 use sickle_store::stats::StatsSnapshot;
 use sickle_store::{Codec, MmapMode, ShardStore, StoreConfig};
+
+fn shard_keys(pairs: Vec<(usize, usize)>) -> Vec<ShardKey> {
+    pairs
+        .into_iter()
+        .map(|(snapshot, cube)| ShardKey { snapshot, cube })
+        .collect()
+}
 
 /// Decodes a draw from the 6-way request space (the vendored proptest has
 /// no `prop_oneof`, so the discriminant is an explicit field).
 #[allow(clippy::type_complexity)]
 fn request_of(
-    ((which, snapshot, cube), (seed, batch_size, tokens, index), keys): (
+    ((which, snapshot, cube), tokens, (keys, hints)): (
         (usize, usize, usize),
-        (u64, usize, usize, u64),
-        Vec<(usize, usize)>,
+        u32,
+        (Vec<(usize, usize)>, Vec<(usize, usize)>),
     ),
 ) -> Request {
     match which {
@@ -28,20 +36,15 @@ fn request_of(
         1 => Request::Stats,
         2 => Request::Shutdown,
         3 => Request::GetShard(ShardKey { snapshot, cube }),
-        4 => Request::GetBatch {
-            spec: BatchSpec {
-                seed,
-                batch_size,
-                tokens,
-            },
-            index,
+        4 => Request::GetTensors {
+            tokens,
+            keys: shard_keys(keys),
+            hints: shard_keys(hints),
         },
         _ => Request::GetTensors {
-            tokens: tokens as u32,
-            keys: keys
-                .into_iter()
-                .map(|(snapshot, cube)| ShardKey { snapshot, cube })
-                .collect(),
+            tokens,
+            keys: shard_keys(keys),
+            hints: Vec::new(),
         },
     }
 }
@@ -52,8 +55,11 @@ static FUZZ_CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::n
 fn any_request() -> impl Strategy<Value = Request> {
     (
         (0usize..6, 0usize..1_000_000, 0usize..1_000_000),
-        (0u64..=u64::MAX, 1usize..4096, 1usize..4096, 0u64..=u64::MAX),
-        proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
+        1u32..4096,
+        (
+            proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
+            proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
+        ),
     )
         .prop_map(request_of)
 }
@@ -107,6 +113,41 @@ proptest! {
             prop_assert_eq!(tag2, tag);
             prop_assert_eq!(payload2, payload);
         }
+    }
+
+    #[test]
+    fn hostile_hint_lists_are_invalid_data_not_panics(
+        tokens in 1u32..4096,
+        keys in proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
+        hints in proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 1..8),
+        cut_frac in 0.0f64..1.0,
+        excess in 1u32..=u32::MAX - MAX_TENSOR_KEYS as u32,
+    ) {
+        let (tag, payload) = Request::GetTensors {
+            tokens,
+            keys: shard_keys(keys.clone()),
+            hints: shard_keys(hints.clone()),
+        }
+        .encode();
+        assert_eq!(tag, TAG_REQ_TENSORS);
+        let hint_count_at = 4 + 4 + keys.len() * 16;
+        let invalid = |bytes: &[u8]| {
+            Request::decode_with_context(tag, bytes)
+                .is_err_and(|e| e.kind() == std::io::ErrorKind::InvalidData)
+        };
+        // Missing hint_count: the frame ends right after the keys, or
+        // partway into the count.
+        let count_cut = hint_count_at + (cut_frac * 4.0) as usize % 4;
+        prop_assert!(invalid(&payload[..count_cut]));
+        // Truncated hint list: at least one byte of the hints is missing.
+        let hint_bytes = hints.len() * 16;
+        let list_cut = hint_count_at + 4 + (cut_frac * hint_bytes as f64) as usize % hint_bytes;
+        prop_assert!(invalid(&payload[..list_cut]));
+        // A hint count over the cap, whatever bytes follow.
+        let mut over = payload.clone();
+        let count = MAX_TENSOR_KEYS as u32 + excess;
+        over[hint_count_at..hint_count_at + 4].copy_from_slice(&count.to_le_bytes());
+        prop_assert!(invalid(&over));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::time::Duration;
 use sickle_hpc::FaultPlan;
 use sickle_store::batching::{local_batch, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
+use sickle_store::cluster::{ClusterClient, ClusterConfig, ClusterMember};
 use sickle_store::protocol::{read_frame, write_frame, Request, Response, TAG_RESP_ERROR};
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
@@ -67,6 +68,24 @@ fn fast_client(addr: std::net::SocketAddr) -> StoreClient {
     )
 }
 
+/// One server as a one-member cluster — how batches are streamed.
+fn fast_cluster(addr: std::net::SocketAddr) -> ClusterClient {
+    ClusterClient::connect(
+        &[ClusterMember::new("store-0", addr.to_string())],
+        ClusterConfig {
+            replication: 1,
+            client: ClientConfig {
+                retries: 4,
+                backoff: Duration::from_millis(10),
+                timeout: Duration::from_secs(5),
+                ..ClientConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+    )
+    .unwrap()
+}
+
 fn assert_bit_identical(a: &Batch, b: &Batch, what: &str) {
     assert_eq!(a.shape, b.shape, "{what}: shape");
     assert_eq!(a.inputs.len(), b.inputs.len(), "{what}: input length");
@@ -89,7 +108,7 @@ fn two_concurrent_clients_stream_bit_identical_epochs() {
     let n = sets.len();
     let addr = handle.addr();
     let stream_epoch = move || {
-        let mut client = fast_client(addr);
+        let mut client = fast_cluster(addr);
         (0..num_batches(n, spec.batch_size))
             .map(|i| client.batch(spec, i).unwrap())
             .collect::<Vec<_>>()
@@ -126,7 +145,7 @@ fn killing_one_client_does_not_disturb_the_other() {
 
     // The survivor streams a full epoch while the victim dies.
     let n = sets.len();
-    let mut client = fast_client(addr);
+    let mut client = fast_cluster(addr);
     for i in 0..num_batches(n, spec.batch_size) {
         let got = client.batch(spec, i).unwrap();
         let reference = local_batch(&sets, spec, i).unwrap();
@@ -140,10 +159,11 @@ fn killing_one_client_does_not_disturb_the_other() {
 
 #[test]
 fn injected_drops_recover_with_no_duplicate_or_missing_samples() {
-    // Connection 0 is severed on its 2nd request; the retry arrives on
-    // connection 1, which is severed on its 1st request; the next retry
-    // (connection 2) succeeds. Every batch must still come back exactly
-    // once and bit-identical, proving retries neither skip nor duplicate.
+    // Connection 0 (the manifest read at connect, then batch 0) is severed
+    // on its 2nd request; the retry arrives on connection 1, which is
+    // severed on its 1st request; the next retry (connection 2) succeeds.
+    // Every batch must still come back exactly once and bit-identical,
+    // proving retries neither skip nor duplicate.
     let plan = FaultPlan::parse("drop@0:1,drop@1:0").unwrap();
     let (root, sets, handle) = start_server(
         "drop_fault",
@@ -158,7 +178,7 @@ fn injected_drops_recover_with_no_duplicate_or_missing_samples() {
         tokens: 5,
     };
     let n = sets.len();
-    let mut client = fast_client(handle.addr());
+    let mut client = fast_cluster(handle.addr());
     let mut streamed = Vec::new();
     for i in 0..num_batches(n, spec.batch_size) {
         streamed.push(client.batch(spec, i).unwrap());
@@ -248,9 +268,10 @@ fn stats_request_reports_live_counters() {
         tokens: 4,
     };
     let mut client = fast_client(handle.addr());
+    let mut cluster = fast_cluster(handle.addr());
     let batches = num_batches(sets.len(), spec.batch_size);
     for i in 0..batches {
-        client.batch(spec, i).unwrap();
+        cluster.batch(spec, i).unwrap();
     }
     let snap = client.stats().unwrap();
     assert!(
@@ -270,7 +291,7 @@ fn stats_request_reports_live_counters() {
         .connections
         .iter()
         .find(|c| c.requests >= batches as u64)
-        .expect("this client's connection row");
+        .expect("the streaming client's connection row");
     assert!(row.bytes_out > 0);
     assert!(
         snap.metric("serve.request_us").is_some(),
@@ -333,7 +354,7 @@ fn sixteen_concurrent_clients_serve_without_error() {
     let workers: Vec<_> = (0..16)
         .map(|w| {
             std::thread::spawn(move || {
-                let mut client = fast_client(addr);
+                let mut client = fast_cluster(addr);
                 let batches = num_batches(n, spec.batch_size);
                 // Stagger start batches so clients hit different shards.
                 for i in 0..batches {
@@ -349,5 +370,69 @@ fn sixteen_concurrent_clients_serve_without_error() {
         worker.join().expect("client thread must not panic");
     }
     drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_bounced_single_server_is_reprobed_on_every_call() {
+    // A one-member cluster has nowhere to fail over to: while the server
+    // is gone each call must surface the transport error's own kind, and
+    // the first call after it returns must reach it — no mark-down window.
+    let (root, sets, handle) = start_server("bounce", ServeConfig::default());
+    let addr = handle.addr();
+    let store = Arc::new(ShardStore::open(&root, StoreConfig::default()).unwrap());
+    let spec = BatchSpec {
+        seed: 5,
+        batch_size: 4,
+        tokens: 5,
+    };
+    let mut client = ClusterClient::connect(
+        &[ClusterMember::new("store-0", addr.to_string())],
+        ClusterConfig {
+            replication: 1,
+            client: ClientConfig {
+                retries: 1,
+                backoff: Duration::from_millis(1),
+                timeout: Duration::from_secs(5),
+                ..ClientConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+    )
+    .unwrap();
+    let first = client.batch(spec, 0).unwrap();
+    assert_bit_identical(
+        &first,
+        &local_batch(&sets, spec, 0).unwrap(),
+        "before bounce",
+    );
+
+    drop(handle);
+    for attempt in 0..2 {
+        let err = client.batch(spec, 1).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::ConnectionRefused,
+            "call {attempt} while down: {err}"
+        );
+    }
+    assert!(
+        client.down_members().is_empty(),
+        "a sole owner is never marked down"
+    );
+
+    let restarted = serve(
+        store,
+        ServeConfig {
+            addr: addr.to_string(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let got = client
+        .batch(spec, 1)
+        .expect("first call after restart reaches the server");
+    assert_bit_identical(&got, &local_batch(&sets, spec, 1).unwrap(), "after bounce");
+    drop(restarted);
     std::fs::remove_dir_all(&root).ok();
 }

@@ -2,7 +2,7 @@
 //! `SICKLE_TRACE` set, streams traced batches into it from this process,
 //! then merges the two Chrome traces and checks that the server's
 //! per-request spans are parented under the client spans that issued
-//! them — i.e. one GetBatch descends client → socket → server across two
+//! them — i.e. one GetTensors descends client → socket → server across two
 //! distinct pids in a single Perfetto-loadable file.
 //!
 //! When `SICKLE_TELEMETRY_OUT` names a directory, the client, server, and
@@ -16,7 +16,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use sickle_obs::export::{merge_chrome_traces, validate_chrome_trace};
-use sickle_store::batching::{num_batches, BatchSpec};
+use sickle_store::batching::{batch_keys, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
 use sickle_store::store::{ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
@@ -55,6 +55,7 @@ fn merged_trace_links_client_and_server_processes() {
     let out = small_output(2, 4, 256);
     let store = ShardStore::ingest(&store_dir, &out, StoreConfig::default()).expect("ingest");
     let shards = store.manifest().len();
+    let keys = store.keys();
     drop(store);
 
     let server_trace = root.join("server_trace.json");
@@ -99,7 +100,10 @@ fn merged_trace_links_client_and_server_processes() {
             tokens: 16,
         };
         for i in 0..num_batches(shards, spec.batch_size) {
-            client.batch(spec, i).expect("traced batch");
+            let batch = batch_keys(&keys, spec, i).expect("index within the epoch");
+            client
+                .tensors(spec.tokens, &batch, &[])
+                .expect("traced batch");
         }
         let snap = client.stats().expect("stats over the wire");
         assert!(snap.requests_total > 0, "server counted our requests");

@@ -384,24 +384,26 @@ pub fn dense_cube_data(
 }
 
 /// A training dataset streamed from the serving plane instead of held in
-/// memory — either one `sickle-serve` endpoint ([`connect`](Self::connect))
-/// or a whole sharded cluster behind a
-/// [`ClusterClient`](sickle_store::ClusterClient)
-/// ([`connect_cluster`](Self::connect_cluster)).
+/// memory, through a [`ClusterClient`](sickle_store::ClusterClient) — a
+/// whole sharded cluster ([`connect_cluster`](Self::connect_cluster)) or
+/// one `sickle-serve` endpoint as a one-member cluster
+/// ([`connect`](Self::connect)).
 ///
 /// Batches come back **bit-identical** to what [`TensorData::batches`]
-/// would produce from the same sample sets and seed: the server runs the
-/// same shuffle (`StdRng::seed_from_u64(seed)` over `0..n`), the same
-/// chunking, and the same per-set tensorization, and `f32` values cross
-/// the wire losslessly. The cluster path preserves this bit-for-bit: the
-/// gateway reassembles per-owner tensor blocks in batch-key order, so the
-/// training loop cannot tell one server from N — even across a mid-epoch
-/// member death (the gateway fails over to replicas). Transient connection
-/// failures (including injected `drop@conn:request` faults) are retried by
-/// the underlying [`StoreClient`](sickle_store::StoreClient); since every
-/// batch fetch is a pure read, retries cannot duplicate or lose samples.
+/// would produce from the same sample sets and seed: the client runs the
+/// same shuffle (`StdRng::seed_from_u64(seed)` over `0..n`) and the same
+/// chunking, each server the same per-set tensorization, and `f32` values
+/// cross the wire losslessly. The gateway reassembles per-owner tensor
+/// blocks in batch-key order, so the training loop cannot tell one server
+/// from N — even across a mid-epoch member death (the gateway fails over
+/// to replicas). Every request also hints the next batch's keys, so the
+/// servers prefetch while the trainer computes. Transient connection
+/// failures (including injected `drop@conn:request` faults) are retried
+/// by the underlying [`StoreClient`](sickle_store::StoreClient); since
+/// every batch fetch is a pure read, retries cannot duplicate or lose
+/// samples.
 pub struct RemoteDataset {
-    backend: Backend,
+    cluster: sickle_store::ClusterClient,
     /// Samples (shards) available on the server(s).
     pub n: usize,
     /// Tokens per sample requested from the server.
@@ -412,13 +414,9 @@ pub struct RemoteDataset {
     pub config_hash: String,
 }
 
-enum Backend {
-    Single(sickle_store::StoreClient),
-    Cluster(sickle_store::ClusterClient),
-}
-
 impl RemoteDataset {
-    /// Connects to a serve endpoint and reads its manifest.
+    /// Connects to one serve endpoint — a one-member cluster — and reads
+    /// its manifest.
     ///
     /// # Errors
     /// Transport errors, or `InvalidData` for an empty store.
@@ -427,21 +425,16 @@ impl RemoteDataset {
         tokens: usize,
         cfg: sickle_store::ClientConfig,
     ) -> std::io::Result<RemoteDataset> {
-        let mut client = sickle_store::StoreClient::new(addr, cfg);
-        let manifest = client.manifest()?;
-        if manifest.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "remote store is empty",
-            ));
-        }
-        Ok(RemoteDataset {
-            backend: Backend::Single(client),
-            n: manifest.len(),
+        let addr = addr.into();
+        Self::connect_cluster(
+            &[sickle_store::ClusterMember::new(addr.clone(), addr)],
             tokens,
-            features: manifest.feature_names.len(),
-            config_hash: manifest.config_hash,
-        })
+            sickle_store::ClusterConfig {
+                replication: 1,
+                client: cfg,
+                ..sickle_store::ClusterConfig::default()
+            },
+        )
     }
 
     /// Connects to a sharded store cluster and unions its manifests.
@@ -458,7 +451,7 @@ impl RemoteDataset {
         if cluster.n() == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                "remote cluster is empty",
+                "remote store is empty",
             ));
         }
         Ok(RemoteDataset {
@@ -466,7 +459,7 @@ impl RemoteDataset {
             tokens,
             features: cluster.features(),
             config_hash: cluster.config_hash().to_string(),
-            backend: Backend::Cluster(cluster),
+            cluster,
         })
     }
 
@@ -486,10 +479,7 @@ impl RemoteDataset {
             batch_size,
             tokens: self.tokens,
         };
-        let remote = match &mut self.backend {
-            Backend::Single(client) => client.batch(spec, index)?,
-            Backend::Cluster(cluster) => cluster.batch(spec, index)?,
-        };
+        let remote = self.cluster.batch(spec, index)?;
         Ok(Batch {
             shape: BatchShape {
                 batch: remote.shape.batch,

@@ -19,15 +19,8 @@
 //! - [`ddp`] is the `torch.distributed` analogue: thread-based data-parallel
 //!   replicas with gradient all-reduce.
 
-//! - [`hpo`] implements the `--tune` analogue (random search and
-//!   successive halving standing in for DeepHyper).
-//! - [`federated`] implements FedAvg across sites (the paper's APPFL
-//!   extension).
-
 pub mod data;
 pub mod ddp;
-pub mod federated;
-pub mod hpo;
 pub mod models;
 pub mod trainer;
 
