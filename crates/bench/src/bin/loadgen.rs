@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use sickle_bench::require_finite;
+use sickle_bench::report::{Better, Report};
 use sickle_store::batching::{batch_keys, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
 use sickle_store::server::{serve, ServeConfig};
@@ -47,8 +47,6 @@ const EPOCHS_PER_CLIENT: usize = 2;
 const SERVER_THREADS: usize = 2;
 const REPLICATION: usize = 2;
 const SATURATION_MAX_CONNS: usize = 2;
-const BUDGET_SCALE_3_OVER_1: f64 = 1.6;
-const BUDGET_SATURATION_P99_MS: f64 = 2000.0;
 
 #[derive(Serialize)]
 struct PhaseScale {
@@ -64,8 +62,8 @@ struct Saturation {
     clients: usize,
     max_conns: usize,
     batches: usize,
-    /// Client-visible errors. Budget: exactly 0 — overload must surface
-    /// as Busy backpressure, never as a failed batch.
+    /// Client-visible errors. Checked to be 0 — overload must surface as
+    /// Busy backpressure, never as a failed batch.
     errors: usize,
     /// Busy frames absorbed and retried across all clients.
     busy_retries: u64,
@@ -73,22 +71,6 @@ struct Saturation {
     requests_shed: u64,
     p50_ms: f64,
     p99_ms: f64,
-    budget_p99_ms: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    keys: usize,
-    model_us_per_key: u64,
-    replication: usize,
-    single: PhaseScale,
-    cluster3: PhaseScale,
-    /// cluster3 samples/s over single-server samples/s. Budget: >= 1.6.
-    scale_3_over_1: f64,
-    budget_scale_3_over_1: f64,
-    saturation: Saturation,
-    within_budget: bool,
 }
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -236,15 +218,11 @@ fn bench_saturation(out: &sickle_core::pipeline::SamplingOutput, n: usize) -> Sa
         requests_shed: snap.requests_shed,
         p50_ms: percentile(&latencies_ms, 0.50),
         p99_ms: percentile(&latencies_ms, 0.99),
-        budget_p99_ms: BUDGET_SATURATION_P99_MS,
     }
 }
 
 fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve_scale.json".into());
 
     let out = small_output(SNAPSHOTS, CUBES, POINTS);
     let keys = SNAPSHOTS * CUBES;
@@ -309,59 +287,24 @@ fn main() -> ExitCode {
         saturation.p99_ms
     );
 
-    require_finite(
-        "serve_scale",
-        &[
-            ("single_samples_per_sec", single.samples_per_sec),
-            ("cluster3_samples_per_sec", cluster3.samples_per_sec),
-            ("scale_3_over_1", scale_3_over_1),
-            ("saturation_p99_ms", saturation.p99_ms),
-        ],
-    );
-
-    let mut violations = Vec::new();
-    if scale_3_over_1 < BUDGET_SCALE_3_OVER_1 {
-        violations.push(format!(
-            "scale_3_over_1 {scale_3_over_1:.2} < {BUDGET_SCALE_3_OVER_1}"
-        ));
-    }
-    if saturation.errors > 0 {
-        violations.push(format!(
-            "{} client-visible errors past saturation (want 0)",
-            saturation.errors
-        ));
-    }
-    if saturation.requests_shed == 0 {
-        violations.push("saturation produced no sheds: the bound never engaged".into());
-    }
-    if saturation.p99_ms > BUDGET_SATURATION_P99_MS {
-        violations.push(format!(
-            "saturation p99 {:.0}ms > {BUDGET_SATURATION_P99_MS:.0}ms",
-            saturation.p99_ms
-        ));
-    }
-
-    let report = Report {
-        suite: "serve_scale".into(),
-        keys,
-        model_us_per_key: MODEL_US_PER_KEY,
-        replication: REPLICATION,
-        single,
-        cluster3,
-        scale_3_over_1,
-        budget_scale_3_over_1: BUDGET_SCALE_3_OVER_1,
-        saturation,
-        within_budget: violations.is_empty(),
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write report JSON");
-    println!("  wrote {out_path}");
-
-    if !report.within_budget {
-        for v in &violations {
-            eprintln!("  BUDGET VIOLATION: {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let mut report = Report::new("serve_scale");
+    // Floor just under the budget: three servers must beat one regardless
+    // of how fast the box is; a collapse to ~1x means the fan-out or the
+    // scheduler serialized.
+    report
+        .metric("scale_3_over_1", scale_3_over_1, "x", Better::Higher)
+        .budget(1.6)
+        .floor(1.5);
+    report
+        .metric("saturation_p99_ms", saturation.p99_ms, "ms", Better::Lower)
+        .budget(2000.0);
+    report.check("saturation_errors_zero", saturation.errors == 0);
+    report.check("saturation_sheds_observed", saturation.requests_shed > 0);
+    report.detail("keys", keys);
+    report.detail("model_us_per_key", MODEL_US_PER_KEY);
+    report.detail("replication", REPLICATION);
+    report.detail("single", single);
+    report.detail("cluster3", cluster3);
+    report.detail("saturation", saturation);
+    report.finish()
 }

@@ -30,7 +30,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use serde::Serialize;
-use sickle_bench::{require_finite, workloads};
+use sickle_bench::report::{Better, Report};
+use sickle_bench::workloads;
 use sickle_cfd::synth;
 use sickle_codec::{decode_shard, encode_shard, Codec};
 use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingOutput};
@@ -58,7 +59,10 @@ const PDF_BINS: usize = 100;
 /// budgets in `crates/codec/tests/accuracy.rs::budgets` (SST-P1F4 carries
 /// derived features with wider dynamic range, so the narrow-mantissa
 /// codecs sit a little higher here); the ratio floors for u8 and resim
-/// are the repo's acceptance numbers.
+/// are the repo's acceptance numbers. The ratio and KL budgets double as
+/// `bench_diff` floors: ratios are byte arithmetic, not timing, so only a
+/// codec or header regression can move them, and phase-space fidelity
+/// must not quietly erode.
 fn codec_budgets() -> Vec<(Codec, f64, f64, f64, f64)> {
     vec![
         // Identity is lossless: the tiny nonzero KL allowance is histogram
@@ -76,30 +80,12 @@ struct CodecReport {
     name: String,
     disk_bytes: usize,
     decoded_bytes: usize,
-    bytes_ratio: f64,
     encode_mb_per_sec: f64,
     decode_mb_per_sec: f64,
     cold_mb_per_sec: f64,
     warm_mb_per_sec: f64,
-    spectra_err: f64,
-    pdf_kl: f64,
     train_loss: f64,
     train_delta_pct: f64,
-    budget_bytes_ratio: f64,
-    budget_spectra: f64,
-    budget_pdf_kl: f64,
-    budget_train_delta_pct: f64,
-    within_budget: bool,
-}
-
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    dataset: String,
-    shards: usize,
-    points_per_shard: usize,
-    features: usize,
-    workloads: Vec<CodecReport>,
 }
 
 /// Decoded (logical) bytes of a set: u64 index + f64 features per row.
@@ -202,9 +188,7 @@ fn temp_root(tag: &str) -> PathBuf {
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_compression.json".into());
+    let mut report = Report::new("compression");
 
     println!("  generating SST-P1F4 workload (dense {CUBE_EDGE}\u{b3} cubes)...");
     let dataset = workloads::sst_p1f4_small();
@@ -229,7 +213,6 @@ fn main() -> ExitCode {
 
     let mut reports: Vec<CodecReport> = Vec::new();
     let mut baseline_loss = f64::NAN;
-    let mut all_within = true;
     for (codec, ratio_floor, spectra_budget, kl_budget, delta_budget) in codec_budgets() {
         // Transcode throughput over every shard, in logical MiB.
         let t0 = Instant::now();
@@ -275,15 +258,35 @@ fn main() -> ExitCode {
         std::fs::remove_dir_all(&root).ok();
 
         let bytes_ratio = decoded_bytes as f64 / disk_bytes as f64;
-        let within_budget = bytes_ratio >= ratio_floor
-            && spec <= spectra_budget
-            && kl <= kl_budget
-            && train_delta_pct.abs() <= delta_budget;
-        all_within &= within_budget;
+        let name = codec.name();
+        report
+            .metric(
+                format!("{name}.bytes_ratio"),
+                bytes_ratio,
+                "x",
+                Better::Higher,
+            )
+            .budget(ratio_floor)
+            .floor(ratio_floor);
+        report
+            .metric(format!("{name}.spectra_err"), spec, "rel L2", Better::Lower)
+            .budget(spectra_budget);
+        report
+            .metric(format!("{name}.pdf_kl"), kl, "nats", Better::Lower)
+            .budget(kl_budget)
+            .floor(kl_budget);
+        report
+            .metric(
+                format!("{name}.abs_train_delta_pct"),
+                train_delta_pct.abs(),
+                "%",
+                Better::Lower,
+            )
+            .budget(delta_budget);
         println!(
             "  {:<9} {:>7.2}x  enc {:>7.1} MiB/s  dec {:>7.1} MiB/s  cold {:>7.1}  warm {:>8.1}  \
-             spectra {:.2e}  kl {:.2e}  loss {:.4} ({:+.1}%){}",
-            codec.name(),
+             spectra {:.2e}  kl {:.2e}  loss {:.4} ({:+.1}%)",
+            name,
             bytes_ratio,
             logical_mb / encode_secs,
             logical_mb / decode_secs,
@@ -293,60 +296,24 @@ fn main() -> ExitCode {
             kl,
             loss,
             train_delta_pct,
-            if within_budget { "" } else { "  BUDGET MISS" },
         );
         reports.push(CodecReport {
-            name: codec.name().to_string(),
+            name: name.to_string(),
             disk_bytes,
             decoded_bytes,
-            bytes_ratio,
             encode_mb_per_sec: logical_mb / encode_secs,
             decode_mb_per_sec: logical_mb / decode_secs,
             cold_mb_per_sec: logical_mb / cold_secs,
             warm_mb_per_sec: logical_mb / warm_secs,
-            spectra_err: spec,
-            pdf_kl: kl,
             train_loss: loss,
             train_delta_pct,
-            budget_bytes_ratio: ratio_floor,
-            budget_spectra: spectra_budget,
-            budget_pdf_kl: kl_budget,
-            budget_train_delta_pct: delta_budget,
-            within_budget,
         });
     }
 
-    for r in &reports {
-        require_finite(
-            &format!("compression {}", r.name),
-            &[
-                ("bytes_ratio", r.bytes_ratio),
-                ("encode_mb_per_sec", r.encode_mb_per_sec),
-                ("decode_mb_per_sec", r.decode_mb_per_sec),
-                ("cold_mb_per_sec", r.cold_mb_per_sec),
-                ("warm_mb_per_sec", r.warm_mb_per_sec),
-                ("spectra_err", r.spectra_err),
-                ("pdf_kl", r.pdf_kl),
-                ("train_loss", r.train_loss),
-            ],
-        );
-    }
-
-    let report = Report {
-        suite: "compression".into(),
-        dataset: dataset.meta.label.clone(),
-        shards,
-        points_per_shard: sets[0].len(),
-        features,
-        workloads: reports,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write report JSON");
-    println!("  wrote {out_path}");
-
-    if !all_within {
-        eprintln!("  BUDGET VIOLATION: see per-codec rows above");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    report.detail("dataset", &dataset.meta.label);
+    report.detail("shards", shards);
+    report.detail("points_per_shard", sets[0].len());
+    report.detail("features", features);
+    report.detail("workloads", reports);
+    report.finish()
 }

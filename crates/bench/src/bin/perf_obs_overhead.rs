@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
+use sickle_bench::report::{Better, Report};
 use sickle_cfd::{SpectralConfig, SpectralSolver};
 use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod};
 use sickle_store::batching::{batch_keys, num_batches, BatchSpec};
@@ -39,20 +40,6 @@ struct WorkloadResult {
     spans_per_iter: f64,
     disabled_ns_per_iter: f64,
     enabled_ns_per_iter: f64,
-    disabled_overhead_pct: f64,
-    enabled_overhead_pct: f64,
-    /// Per-workload ceiling on `enabled_overhead_pct`.
-    enabled_budget_pct: f64,
-}
-
-/// Top-level report written to `BENCH_obs_overhead.json`.
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    disabled_span_ns: f64,
-    workloads: Vec<WorkloadResult>,
-    disabled_budget_pct: f64,
-    within_budget: bool,
 }
 
 const ROUNDS: usize = 5;
@@ -94,7 +81,10 @@ fn disabled_span_ns() -> f64 {
     best
 }
 
+/// Times `f` with tracing off and on, declares the workload's two
+/// overhead metrics on `report`, and returns the raw timings.
 fn measure(
+    report: &mut Report,
     name: &str,
     spans_per_iter: f64,
     span_ns: f64,
@@ -116,27 +106,38 @@ fn measure(
         sickle_obs::set_enabled(false);
         let _ = sickle_obs::drain(); // discard the recorded events
     }
-    let r = WorkloadResult {
+    // The instrumentation cannot be compiled out at runtime, so the
+    // disabled overhead is modeled from the measured per-span cost.
+    let disabled_overhead_pct = 100.0 * spans_per_iter * span_ns / disabled;
+    let enabled_overhead_pct = 100.0 * (enabled - disabled).max(0.0) / disabled;
+    println!(
+        "  {name:<24} disabled {disabled:>12.0} ns  enabled {enabled:>12.0} ns  overhead: \
+         {disabled_overhead_pct:.4}% off / {enabled_overhead_pct:.2}% on (budget {enabled_budget_pct:.0}%)",
+    );
+    report
+        .metric(
+            format!("{name}.enabled_overhead_pct"),
+            enabled_overhead_pct,
+            "%",
+            Better::Lower,
+        )
+        .budget(enabled_budget_pct)
+        .floor(2.0);
+    report
+        .metric(
+            format!("{name}.disabled_overhead_pct"),
+            disabled_overhead_pct,
+            "%",
+            Better::Lower,
+        )
+        .budget(1.0)
+        .floor(0.5);
+    WorkloadResult {
         name: name.to_string(),
         spans_per_iter,
         disabled_ns_per_iter: disabled,
         enabled_ns_per_iter: enabled,
-        // The instrumentation cannot be compiled out at runtime, so the
-        // disabled overhead is modeled from the measured per-span cost.
-        disabled_overhead_pct: 100.0 * spans_per_iter * span_ns / disabled,
-        enabled_overhead_pct: 100.0 * (enabled - disabled).max(0.0) / disabled,
-        enabled_budget_pct,
-    };
-    println!(
-        "  {:<24} disabled {:>12.0} ns  enabled {:>12.0} ns  overhead: {:.4}% off / {:.2}% on (budget {:.0}%)",
-        r.name,
-        r.disabled_ns_per_iter,
-        r.enabled_ns_per_iter,
-        r.disabled_overhead_pct,
-        r.enabled_overhead_pct,
-        r.enabled_budget_pct
-    );
-    r
+    }
 }
 
 /// Builds a small fixture store, serves it over loopback TCP, and returns
@@ -193,9 +194,7 @@ fn serve_workload() -> (
 
 fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_obs_overhead.json".into());
+    let mut report = Report::new("obs_overhead");
 
     let span_ns = disabled_span_ns();
     println!("  disabled span cost: {span_ns:.2} ns");
@@ -210,10 +209,17 @@ fn main() -> ExitCode {
         ..Default::default()
     });
     solver.init_taylor_green(1.0);
-    workloads.push(measure("spectral_step_32", 11.0, span_ns, 10.0, || {
-        solver.step();
-        std::hint::black_box(solver.time());
-    }));
+    workloads.push(measure(
+        &mut report,
+        "spectral_step_32",
+        11.0,
+        span_ns,
+        10.0,
+        || {
+            solver.step();
+            std::hint::black_box(solver.time());
+        },
+    ));
 
     // Sampling pass: run_dataset + temporal + snapshot + phase1 + 4 cubes
     // = 8 spans per iteration (counters excluded: they are cheaper).
@@ -231,6 +237,7 @@ fn main() -> ExitCode {
     );
     let spans_per_run = (4.0 + 3.0) * sst.num_snapshots() as f64 + 2.0;
     workloads.push(measure(
+        &mut report,
         "run_dataset_sst_small",
         spans_per_run,
         span_ns,
@@ -245,6 +252,7 @@ fn main() -> ExitCode {
     // histograms, trace-context trailer). Budget: ≤ 5% enabled.
     let (handle, root, mut serve_epoch, serve_spans) = serve_workload();
     workloads.push(measure(
+        &mut report,
         "serve_epoch_loopback",
         serve_spans,
         span_ns,
@@ -255,29 +263,7 @@ fn main() -> ExitCode {
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 
-    let within_budget = workloads
-        .iter()
-        .all(|w| w.disabled_overhead_pct <= 1.0 && w.enabled_overhead_pct <= w.enabled_budget_pct);
-    let report = Report {
-        suite: "obs_overhead".into(),
-        disabled_span_ns: span_ns,
-        workloads,
-        disabled_budget_pct: 1.0,
-        within_budget,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write overhead JSON");
-    println!("  wrote {out_path} (within budget: {within_budget})");
-    if !within_budget {
-        for w in &report.workloads {
-            if w.disabled_overhead_pct > 1.0 || w.enabled_overhead_pct > w.enabled_budget_pct {
-                eprintln!(
-                    "  BUDGET VIOLATION: {} — {:.4}% disabled (≤ 1%), {:.2}% enabled (≤ {:.0}%)",
-                    w.name, w.disabled_overhead_pct, w.enabled_overhead_pct, w.enabled_budget_pct
-                );
-            }
-        }
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    report.detail("disabled_span_ns", span_ns);
+    report.detail("workloads", workloads);
+    report.finish()
 }

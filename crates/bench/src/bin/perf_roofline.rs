@@ -8,17 +8,22 @@
 //! `min(peak_flops, AI × peak_bandwidth)` where both peaks are measured
 //! in-process (an FMA chain microbench and a streaming-sum microbench).
 //! An end-to-end 64³ spectral dataset-generation run closes the loop.
+//! Ungated baseline rows time the complex [`Fft3d`] against the
+//! half-spectrum [`RealFft3d`] forward+inverse roundtrip at 32³/64³ and one
+//! Taylor–Green `SpectralSolver` RK2 step at 32³.
 //!
 //! Budgets (enforced with a nonzero exit, AVX2+FMA hosts only): ≥ 2× per
-//! kernel and ≥ 2× end-to-end over the naive baselines.
+//! gated kernel and ≥ 2× end-to-end over the naive baselines.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use serde::Serialize;
+use sickle_bench::report::{Better, Report};
 use sickle_cfd::{lbm_step_flops, CylinderFlow, LbmConfig, SpectralConfig, SpectralSolver};
 use sickle_core::entropy::ClusterDistributions;
-use sickle_energy::{EnergyMeter, EnergyReport, MachineModel};
-use sickle_fft::{rfft3d_flops, Complex, RealFft3d};
+use sickle_energy::{EnergyMeter, MachineModel};
+use sickle_fft::{rfft3d_flops, Complex, Fft3d, RealFft3d};
 use sickle_field::{hist_flops, Histogram};
 use sickle_simd::{fma_available, set_kernel, Kernel};
 
@@ -66,26 +71,18 @@ struct E2eResult {
     gflops_optimized: f64,
 }
 
+/// One ungated baseline timing.
 #[derive(Serialize)]
-struct Budgets {
-    fft_min_speedup: f64,
-    lbm_min_speedup: f64,
-    hist_min_speedup: f64,
-    e2e_min_speedup: f64,
-    enforced: bool,
+struct BaselineRow {
+    name: String,
+    n: usize,
+    iters: usize,
+    ns_per_iter: f64,
+    mpoints_per_sec: f64,
 }
 
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    machine: Machine,
-    kernels: Vec<KernelRow>,
-    e2e: E2eResult,
-    /// Modeled Frontier-CPU-rank energy for one call of every benched
-    /// kernel, from the same FLOP/byte counters the rows report.
-    energy: EnergyReport,
-    budgets: Budgets,
-}
+/// Speedup every gated row must reach over its naive twin.
+const BUDGET_SPEEDUP: f64 = 2.0;
 
 /// ns/iter for a naive/optimized pair, measured as ten *alternating*
 /// naive/optimized rounds (each batch sized to fill ~30 ms), reporting the
@@ -441,11 +438,77 @@ fn bench_e2e(n: usize, steps: usize, meter: &EnergyMeter) -> E2eResult {
     r
 }
 
-fn main() {
+/// Times `f` with a warmup pass and enough iterations to fill ~0.3 s,
+/// returning (iterations, mean ns/iter).
+fn time_ns(mut f: impl FnMut()) -> (usize, f64) {
+    f(); // warmup: page in buffers, spin up the thread pool
+    let probe = Instant::now();
+    f();
+    let once = probe.elapsed().as_secs_f64();
+    let iters = ((0.3 / once.max(1e-9)) as usize).clamp(3, 1000);
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    (iters, start.elapsed().as_secs_f64() / iters as f64 * 1e9)
+}
+
+fn baseline_row(name: String, n: usize, (iters, ns_per_iter): (usize, f64)) -> BaselineRow {
+    let mpoints_per_sec = (n * n * n) as f64 / ns_per_iter * 1e3;
+    println!("  {name:<32} {ns_per_iter:>14.0} ns/iter  {mpoints_per_sec:>9.1} Mpts/s");
+    BaselineRow {
+        name,
+        n,
+        iters,
+        ns_per_iter,
+        mpoints_per_sec,
+    }
+}
+
+fn bench_complex_roundtrip(n: usize) -> BaselineRow {
+    let plan = Fft3d::new(n, n, n);
+    let mut buf: Vec<Complex> = (0..n * n * n)
+        .map(|i| Complex::new((i as f64 * 0.37).sin(), 0.0))
+        .collect();
+    let timing = time_ns(|| {
+        plan.forward(&mut buf);
+        plan.inverse(&mut buf);
+        std::hint::black_box(&mut buf);
+    });
+    baseline_row(format!("fft3d_complex_roundtrip_{n}"), n, timing)
+}
+
+/// Half-spectrum roundtrip into preallocated buffers (the solver's
+/// steady-state transform path).
+fn bench_real_roundtrip(n: usize) -> BaselineRow {
+    let plan = RealFft3d::new(n, n, n);
+    let field: Vec<f64> = (0..n * n * n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+    let mut back = vec![0.0; field.len()];
+    let timing = time_ns(|| {
+        plan.forward(&field, &mut spec);
+        plan.inverse(&mut spec, &mut back);
+        std::hint::black_box(&mut back);
+    });
+    baseline_row(format!("rfft3d_roundtrip_{n}"), n, timing)
+}
+
+fn bench_spectral_step(n: usize) -> BaselineRow {
+    let mut solver = SpectralSolver::new(SpectralConfig {
+        n,
+        dt: 0.002,
+        ..Default::default()
+    });
+    solver.init_taylor_green(1.0);
+    let timing = time_ns(|| {
+        solver.step();
+        std::hint::black_box(solver.time());
+    });
+    baseline_row(format!("spectral_step_{n}"), n, timing)
+}
+
+fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_roofline.json".into());
 
     let machine = Machine {
         avx2_fma: fma_available(),
@@ -480,9 +543,9 @@ fn main() {
     };
     let kernels = vec![
         measure(0.0, &mut || bench_rfft3d(32, &machine)),
-        measure(2.0, &mut || bench_rfft3d(64, &machine)),
-        measure(2.0, &mut || bench_lbm(&machine)),
-        measure(2.0, &mut || {
+        measure(BUDGET_SPEEDUP, &mut || bench_rfft3d(64, &machine)),
+        measure(BUDGET_SPEEDUP, &mut || bench_lbm(&machine)),
+        measure(BUDGET_SPEEDUP, &mut || {
             bench_histogram("histogram_fill", 4096, "16^3 cube", &machine)
         }),
         measure(0.0, &mut || {
@@ -495,68 +558,47 @@ fn main() {
         meter.record_bytes(k.bytes_per_call);
     }
     let e2e = bench_e2e(64, 10, &meter);
+    // Modeled Frontier-CPU-rank energy for one call of every benched
+    // kernel, from the same FLOP/byte counters the rows report.
+    let energy = meter.report();
 
-    let budgets = Budgets {
-        fft_min_speedup: 2.0,
-        lbm_min_speedup: 2.0,
-        hist_min_speedup: 2.0,
-        e2e_min_speedup: 2.0,
+    let mut baseline = Vec::new();
+    let mut speedup_real_vs_complex = [0.0f64; 2];
+    for (slot, n) in [32usize, 64].into_iter().enumerate() {
+        let c = bench_complex_roundtrip(n);
+        let r = bench_real_roundtrip(n);
+        speedup_real_vs_complex[slot] = c.ns_per_iter / r.ns_per_iter;
+        println!(
+            "  real-vs-complex speedup at {n}^3: {:.2}x",
+            speedup_real_vs_complex[slot]
+        );
+        baseline.push(c);
+        baseline.push(r);
+    }
+    baseline.push(bench_spectral_step(32));
+
+    let mut report = Report::new("roofline");
+    // Rows 1–3 of `kernels` are the ones measured against the budget.
+    let gated = [
+        ("rfft3d_64_speedup", kernels[1].speedup),
+        ("lbm_step_speedup", kernels[2].speedup),
+        ("histogram_fill_speedup", kernels[3].speedup),
+        ("e2e_speedup", e2e.speedup),
+    ];
+    for (name, value) in gated {
+        let m = report.metric(name, value, "x", Better::Higher);
         // The ≥2× contracts are AVX2-hardware claims; portable-fallback
         // hosts still run the suite for the JSON artifact but don't gate.
-        enforced: fma_available(),
-    };
-    let mut violations = Vec::new();
-    if budgets.enforced {
-        let check = |name: &str, got: f64, min: f64, violations: &mut Vec<String>| {
-            if got < min {
-                violations.push(format!("{name} speedup {got:.2}x < required {min:.1}x"));
-            }
-        };
-        let fft64 = kernels.iter().find(|k| k.size == "64^3").unwrap();
-        let lbm = kernels.iter().find(|k| k.name == "lbm_step").unwrap();
-        let hist = kernels.iter().find(|k| k.name == "histogram_fill").unwrap();
-        check(
-            "rfft3d 64^3",
-            fft64.speedup,
-            budgets.fft_min_speedup,
-            &mut violations,
-        );
-        check(
-            "lbm_step",
-            lbm.speedup,
-            budgets.lbm_min_speedup,
-            &mut violations,
-        );
-        check(
-            "histogram_fill",
-            hist.speedup,
-            budgets.hist_min_speedup,
-            &mut violations,
-        );
-        check(
-            "e2e 64^3",
-            e2e.speedup,
-            budgets.e2e_min_speedup,
-            &mut violations,
-        );
-    }
-
-    let report = Report {
-        suite: "roofline".into(),
-        machine,
-        kernels,
-        e2e,
-        energy: meter.report(),
-        budgets,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write roofline JSON");
-    println!("  wrote {out_path}");
-
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("BUDGET VIOLATION: {v}");
+        if enforced {
+            m.budget(BUDGET_SPEEDUP);
         }
-        std::process::exit(1);
     }
+    report.detail("machine", machine);
+    report.detail("kernels", kernels);
+    report.detail("e2e", e2e);
+    report.detail("energy", energy);
+    report.detail("baseline", baseline);
+    report.detail("speedup_real_vs_complex_32", speedup_real_vs_complex[0]);
+    report.detail("speedup_real_vs_complex_64", speedup_real_vs_complex[1]);
+    report.finish()
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use sickle_bench::require_finite;
+use sickle_bench::report::{Better, Report};
 use sickle_store::batching::num_batches;
 use sickle_store::client::ClientConfig;
 use sickle_store::server::{serve, ServeConfig};
@@ -35,7 +35,6 @@ const WARM_REPS: usize = 50;
 const BATCH_SIZE: usize = 8;
 const TOKENS: usize = 32;
 const EPOCHS_PER_CLIENT: usize = 2;
-const BUDGET_WARM_OVER_COLD: f64 = 5.0;
 
 #[derive(Serialize)]
 struct ClientScale {
@@ -43,22 +42,6 @@ struct ClientScale {
     batches: usize,
     secs: f64,
     batches_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    shards: usize,
-    store_bytes: usize,
-    cold_secs: f64,
-    warm_secs: f64,
-    cold_mb_per_sec: f64,
-    warm_mb_per_sec: f64,
-    /// warm bandwidth / cold bandwidth. Budget: >= 5.
-    warm_over_cold: f64,
-    budget_warm_over_cold: f64,
-    within_budget: bool,
-    scaling: Vec<ClientScale>,
 }
 
 fn temp_root() -> PathBuf {
@@ -142,9 +125,6 @@ fn bench_clients(addr: std::net::SocketAddr, n: usize, clients: usize) -> Client
 
 fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_store_throughput.json".into());
 
     let root = temp_root();
     let out = small_output(SNAPSHOTS, CUBES, POINTS);
@@ -185,41 +165,21 @@ fn main() -> ExitCode {
         .collect();
     drop(handle);
 
-    require_finite(
-        "store_throughput",
-        &[
-            ("cold_mb_per_sec", cold_mb_per_sec),
-            ("warm_mb_per_sec", warm_mb_per_sec),
-            ("warm_over_cold", warm_over_cold),
-            ("batches_per_sec_1", scaling[0].batches_per_sec),
-            ("batches_per_sec_16", scaling[2].batches_per_sec),
-        ],
-    );
-
-    let within_budget = warm_over_cold >= BUDGET_WARM_OVER_COLD;
-    let report = Report {
-        suite: "store_throughput".into(),
-        shards,
-        store_bytes,
-        cold_secs,
-        warm_secs,
-        cold_mb_per_sec,
-        warm_mb_per_sec,
-        warm_over_cold,
-        budget_warm_over_cold: BUDGET_WARM_OVER_COLD,
-        within_budget,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write report JSON");
-    println!("  wrote {out_path}");
     std::fs::remove_dir_all(&root).ok();
 
-    if !within_budget {
-        eprintln!(
-            "  BUDGET VIOLATION: warm_over_cold {warm_over_cold:.2} < {BUDGET_WARM_OVER_COLD}"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let mut report = Report::new("store_throughput");
+    // Floor 20x the budget: hardware moves this ratio, a broken cache
+    // collapses it.
+    report
+        .metric("warm_over_cold", warm_over_cold, "x", Better::Higher)
+        .budget(5.0)
+        .floor(100.0);
+    report.detail("shards", shards);
+    report.detail("store_bytes", store_bytes);
+    report.detail("cold_secs", cold_secs);
+    report.detail("warm_secs", warm_secs);
+    report.detail("cold_mb_per_sec", cold_mb_per_sec);
+    report.detail("warm_mb_per_sec", warm_mb_per_sec);
+    report.detail("scaling", scaling);
+    report.finish()
 }

@@ -14,13 +14,16 @@
 //!   new path performs zero tensor-sized heap allocations per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use serde::Serialize;
-use sickle_nn::gemm::{self, Kernel};
+use sickle_bench::report::{Better, Report};
+use sickle_nn::gemm;
 use sickle_nn::optim::Adam;
 use sickle_nn::{flops, Tape};
+use sickle_simd::{set_kernel, Kernel};
 use sickle_train::models::Model;
 use sickle_train::{Batch, BatchShape, TokenTransformer};
 
@@ -75,26 +78,8 @@ struct E2eResult {
     steps: usize,
     samples_per_sec_old: f64,
     samples_per_sec_new: f64,
-    speedup: f64,
     gflops_old: f64,
     gflops_new: f64,
-    large_allocs_per_step: f64,
-}
-
-#[derive(Serialize)]
-struct Budgets {
-    gemm_256_min_speedup: f64,
-    e2e_min_speedup: f64,
-    max_large_allocs_per_step: usize,
-}
-
-#[derive(Serialize)]
-struct Report {
-    suite: String,
-    threads: usize,
-    gemm: Vec<GemmResult>,
-    e2e: E2eResult,
-    budgets: Budgets,
 }
 
 fn pseudo(seed: u64, len: usize, scale: f32) -> Vec<f32> {
@@ -200,7 +185,7 @@ fn train_step(tape: &mut Tape, model: &mut TokenTransformer, opt: &mut Adam, bat
 
 /// Times `steps` full training steps, returning (samples/sec, GFLOP/s).
 fn run_e2e(steps: usize, reuse_tape: bool, kernel: Kernel, batch: &Batch) -> (f64, f64) {
-    gemm::set_kernel(kernel);
+    set_kernel(kernel);
     let mut model = fig8_model(5);
     let mut opt = Adam::new(1e-3);
     let mut tape = Tape::new();
@@ -220,13 +205,13 @@ fn run_e2e(steps: usize, reuse_tape: bool, kernel: Kernel, batch: &Batch) -> (f6
     }
     let secs = start.elapsed().as_secs_f64();
     let fl = flops::reset() as f64;
-    gemm::set_kernel(Kernel::Blocked);
+    set_kernel(Kernel::Optimized);
     ((steps * BATCH) as f64 / secs, fl / secs / 1e9)
 }
 
 /// Counts tensor-sized allocations per steady-state step on the new path.
 fn count_allocs_per_step(steps: usize, batch: &Batch) -> f64 {
-    gemm::set_kernel(Kernel::Blocked);
+    set_kernel(Kernel::Optimized);
     let mut model = fig8_model(5);
     let mut opt = Adam::new(1e-3);
     let mut tape = Tape::new();
@@ -242,11 +227,8 @@ fn count_allocs_per_step(steps: usize, batch: &Batch) -> f64 {
     LARGE_ALLOCS.load(Ordering::SeqCst) as f64 / steps as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let _obs = sickle_bench::obs_init();
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_train_throughput.json".into());
     println!(
         "perf_train: {} threads, fig8 config {TOKENS} tokens x {FEATURES} features -> {OUTPUTS} outputs, batch {BATCH}",
         rayon::current_num_threads()
@@ -264,67 +246,46 @@ fn main() {
     let batch = fig8_batch();
     let steps = 40;
     let (sps_old, gf_old) = run_e2e(steps, false, Kernel::Naive, &batch);
-    let (sps_new, gf_new) = run_e2e(steps, true, Kernel::Blocked, &batch);
+    let (sps_new, gf_new) = run_e2e(steps, true, Kernel::Optimized, &batch);
     let allocs = count_allocs_per_step(8, &batch);
-    let e2e = E2eResult {
-        config: "fig8_mlp_transformer".into(),
-        tokens: TOKENS,
-        features: FEATURES,
-        outputs: OUTPUTS,
-        batch: BATCH,
-        steps,
-        samples_per_sec_old: sps_old,
-        samples_per_sec_new: sps_new,
-        speedup: sps_new / sps_old,
-        gflops_old: gf_old,
-        gflops_new: gf_new,
-        large_allocs_per_step: allocs,
-    };
+    let e2e_speedup = sps_new / sps_old;
     println!(
-        "  e2e old {:.1} samples/s ({:.2} GF/s)  new {:.1} samples/s ({:.2} GF/s)  {:.2}x  allocs/step {:.2}",
-        sps_old, gf_old, sps_new, gf_new, e2e.speedup, allocs
+        "  e2e old {sps_old:.1} samples/s ({gf_old:.2} GF/s)  new {sps_new:.1} samples/s \
+         ({gf_new:.2} GF/s)  {e2e_speedup:.2}x  allocs/step {allocs:.2}"
     );
 
-    let budgets = Budgets {
-        gemm_256_min_speedup: 2.0,
-        e2e_min_speedup: 1.5,
-        max_large_allocs_per_step: 0,
-    };
-    let mut violations = Vec::new();
-    let g256 = &gemm_results[0];
-    if g256.speedup < budgets.gemm_256_min_speedup {
-        violations.push(format!(
-            "gemm 256x256x256 NN speedup {:.2}x < required {:.1}x",
-            g256.speedup, budgets.gemm_256_min_speedup
-        ));
-    }
-    if e2e.speedup < budgets.e2e_min_speedup {
-        violations.push(format!(
-            "e2e training speedup {:.2}x < required {:.1}x",
-            e2e.speedup, budgets.e2e_min_speedup
-        ));
-    }
-    if allocs > budgets.max_large_allocs_per_step as f64 {
-        violations.push(format!(
-            "steady-state step makes {allocs:.2} allocation(s) >= {LARGE} bytes, budget 0"
-        ));
-    }
-
-    let report = Report {
-        suite: "train_throughput".into(),
-        threads: rayon::current_num_threads(),
-        gemm: gemm_results,
-        e2e,
-        budgets,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write baseline JSON");
-    println!("  wrote {out_path}");
-
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("BUDGET VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    let mut report = Report::new("train_throughput");
+    report
+        .metric(
+            "gemm_256_nn_speedup",
+            gemm_results[0].speedup,
+            "x",
+            Better::Higher,
+        )
+        .budget(2.0);
+    report
+        .metric("e2e_speedup", e2e_speedup, "x", Better::Higher)
+        .budget(1.5);
+    // Allocations of at least `LARGE` bytes per steady-state step.
+    report
+        .metric("large_allocs_per_step", allocs, "allocs", Better::Lower)
+        .budget(0.0);
+    report.detail("threads", rayon::current_num_threads());
+    report.detail("gemm", gemm_results);
+    report.detail(
+        "e2e",
+        E2eResult {
+            config: "fig8_mlp_transformer".into(),
+            tokens: TOKENS,
+            features: FEATURES,
+            outputs: OUTPUTS,
+            batch: BATCH,
+            steps,
+            samples_per_sec_old: sps_old,
+            samples_per_sec_new: sps_new,
+            gflops_old: gf_old,
+            gflops_new: gf_new,
+        },
+    );
+    report.finish()
 }

@@ -25,6 +25,7 @@ use sickle_core::pipeline::{SamplingConfig, SamplingStats};
 use sickle_energy::{EnergyMeter, EnergyReport, MachineModel};
 
 pub mod cases;
+pub mod report;
 pub mod workloads;
 
 /// RAII observability session for the figure binaries: flushes the

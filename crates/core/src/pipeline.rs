@@ -493,10 +493,7 @@ pub fn run_dataset_resumable(
             let _w = sickle_obs::span!("checkpoint.write", snapshot = i);
             let bytes = fio::encode_sample_sets(&snap_sets);
             let file = shard_file_name(i);
-            let path = dir.join(&file);
-            let tmp = dir.join(format!("{file}.tmp"));
-            std::fs::write(&tmp, &bytes)?;
-            std::fs::rename(&tmp, &path)?;
+            fio::write_atomic(&dir.join(&file), &bytes)?;
             manifest.upsert(fio::ManifestEntry {
                 snapshot_index: i,
                 file,

@@ -157,6 +157,19 @@ pub fn load_snapshot(path: &Path) -> io::Result<Snapshot> {
     decode_snapshot(&data)
 }
 
+/// Publishes `bytes` at `path` by writing `<path>.tmp` and renaming it over
+/// `path`, so readers see the old file or the new one, never a torn write.
+///
+/// # Errors
+/// Propagates I/O errors from the write or the rename (for example when
+/// the parent directory does not exist).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Serializes a sample set (feature rows + indices) compactly.
 pub fn encode_sample_set(set: &SampleSet) -> Bytes {
     let mut buf = BytesMut::new();
@@ -544,9 +557,7 @@ impl CheckpointManifest {
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path, json.as_bytes())
     }
 }
 
@@ -749,6 +760,23 @@ mod tests {
         let mut bad = bytes.to_vec();
         bad[0] = b'X';
         assert!(decode_sample_sets(&bad).is_err());
+    }
+
+    #[test]
+    fn write_atomic_overwrites_and_cleans_up() {
+        let dir = std::env::temp_dir().join(format!("sickle_write_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.bin");
+        write_atomic(&path, b"old").unwrap();
+        write_atomic(&path, b"new contents").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new contents");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["shard.bin"], "no temp file is left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(write_atomic(&path, b"x").is_err(), "missing directory");
     }
 
     #[test]

@@ -153,9 +153,7 @@ impl StoreManifest {
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)
+        sickle_field::io::write_atomic(path, json.as_bytes())
     }
 }
 

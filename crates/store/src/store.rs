@@ -136,9 +136,7 @@ impl ShardStore {
                 let file = format!("shards/{hash}.{ext}");
                 let path = root.join(&file);
                 if !path.exists() {
-                    let tmp = shards_dir.join(format!("{hash}.{ext}.tmp"));
-                    std::fs::write(&tmp, &bytes)?;
-                    std::fs::rename(&tmp, &path)?;
+                    fio::write_atomic(&path, &bytes)?;
                 }
                 manifest.entries.push(ShardEntry {
                     snapshot: key.snapshot,
